@@ -740,7 +740,7 @@ const servingQueryBudget = 200
 func BenchmarkColdCount(b *testing.B) {
 	g, path := servingTable(b)
 	cfg := core.Config{
-		K: 5, Colorings: 1, SamplesPerColoring: servingQueryBudget,
+		K: 5, Colorings: 1, Samples: servingQueryBudget,
 		Seed: 1009, TablePath: path,
 	}
 	b.ReportAllocs()

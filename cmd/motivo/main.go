@@ -24,13 +24,12 @@
 // bit-identical table.
 //
 // `build -o` persists the count table; `count -table` opens it and skips
-// the build — build once, query many. Persisted MvT4 tables are
-// memory-mapped by default (`-map auto|off|require` on count and serve;
-// `build -format 3` writes the legacy format). `serve` keeps a registry
-// of named engines open and answers versioned JSON count queries over HTTP
-// (`/v1/graphs/{name}/count`, `/v1/batch`, `/v1/graphs`, `/metrics`; see
-// internal/serve for the API). `-graph` is repeatable; the first named
-// graph is the default that the legacy `/count` alias serves.
+// the build — build once, query many. Persisted tables are memory-mapped
+// by default (`-map auto|off|require` on count and serve). `serve` keeps a
+// registry of named engines open and answers versioned JSON count queries
+// over HTTP (`/v1/graphs/{name}/count`, `/v1/batch`, `/v1/graphs`,
+// `/metrics`; see internal/serve for the API). `-graph` is repeatable; the
+// first named graph is the default a batch without a graph runs against.
 package main
 
 import (
@@ -212,7 +211,6 @@ func cmdBuild(args []string) error {
 	memBudget := fs.Int64("mem-budget", 0, "bounded-memory build: target transient bytes; levels shard, spill and externally merge (0 = unbounded)")
 	smartStars := fs.Bool("smart-stars", true, "synthesize star-family records from colored degrees instead of storing them")
 	out := fs.String("o", "", "persist the count table (arena + index + coloring) to this file")
-	format := fs.Int("format", 4, "table file format version for -o: 4 (checksummed, mmap-servable) or 3 (legacy)")
 	mapGraph := mapGraphFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -223,11 +221,8 @@ func cmdBuild(args []string) error {
 	if *memBudget < 0 {
 		return fmt.Errorf("build: -mem-budget must be ≥ 0, got %d", *memBudget)
 	}
-	if *k < 1 || *k > treelet.MaxK {
-		return fmt.Errorf("build: -k %d out of range [1,%d]", *k, treelet.MaxK)
-	}
-	if *format != 3 && *format != 4 {
-		return fmt.Errorf("build: -format %d unsupported (want 4 or 3)", *format)
+	if *k < 2 || *k > treelet.MaxK {
+		return fmt.Errorf("build: -k %d out of range [2,%d]", *k, treelet.MaxK)
 	}
 	if *lambda > 0 {
 		if err := coloring.ValidateLambda(*k, *lambda); err != nil {
@@ -272,11 +267,7 @@ func cmdBuild(args []string) error {
 		fmt.Printf("  level %d: %v\n", h, stats.LevelTime[h].Round(1e6))
 	}
 	if *out != "" {
-		save := table.SaveFile
-		if *format == 3 {
-			save = table.SaveFileV3
-		}
-		n, err := save(*out, tab, col)
+		n, err := table.SaveFile(*out, tab, col)
 		if err != nil {
 			return err
 		}

@@ -81,10 +81,11 @@ func TestCommandErrorMessages(t *testing.T) {
 
 		{"build/missing-input", cmdBuild, []string{"-k", "4"}, "build: -i is required"},
 		{"build/k-too-small", cmdBuild, []string{"-i", graphPath, "-k", "0"}, "out of range"},
-		{"build/k-too-large", cmdBuild, []string{"-i", graphPath, "-k", "99"}, "out of range [1,11]"},
+		{"build/k-one", cmdBuild, []string{"-i", graphPath, "-k", "1"}, "out of range [2,11]"},
+		{"build/k-too-large", cmdBuild, []string{"-i", graphPath, "-k", "99"}, "out of range [2,11]"},
 		{"build/bad-lambda", cmdBuild, []string{"-i", graphPath, "-k", "4", "-lambda", "9"}, "lambda"},
 		{"build/missing-file", cmdBuild, []string{"-i", "/definitely/not/here"}, "no such file"},
-		{"build/bad-format", cmdBuild, []string{"-i", graphPath, "-k", "4", "-format", "2"}, "-format 2 unsupported"},
+		{"build/bad-format", cmdBuild, []string{"-i", graphPath, "-k", "4", "-format", "2"}, "flag provided but not defined: -format"},
 
 		{"count/missing-input", cmdCount, []string{}, "count: -i is required"},
 		{"count/bad-strategy", cmdCount, []string{"-i", graphPath, "-strategy", "magic"}, `unknown strategy "magic"`},
@@ -156,30 +157,6 @@ func TestBuildOutputModes(t *testing.T) {
 	}
 	if !strings.Contains(out, "materialized (all records stored)") {
 		t.Fatalf("-smart-stars=false build does not report materialization:\n%s", out)
-	}
-}
-
-// TestBuildFormat3DowngradePath pins the CLI downgrade workflow: -format 3
-// writes a legacy MvT3 file that the default auto map mode serves via the
-// heap fallback, while -map require refuses it.
-func TestBuildFormat3DowngradePath(t *testing.T) {
-	graphPath := writeTestGraph(t)
-	tblPath := filepath.Join(t.TempDir(), "g3.tbl")
-	if _, err := captureStdout(t, func() error {
-		return cmdBuild([]string{"-i", graphPath, "-k", "4", "-format", "3", "-o", tblPath})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := captureStdout(t, func() error {
-		return cmdCount([]string{"-i", graphPath, "-k", "4", "-table", tblPath, "-map", "require", "-samples", "100"})
-	})
-	if err == nil || !strings.Contains(err.Error(), "not mappable") {
-		t.Fatalf("-map require on a v3 file: want a not-mappable error, got %v", err)
-	}
-	if _, err := captureStdout(t, func() error {
-		return cmdCount([]string{"-i", graphPath, "-k", "4", "-table", tblPath, "-samples", "100"})
-	}); err != nil {
-		t.Fatalf("-map auto must fall back to the heap loader on a v3 file: %v", err)
 	}
 }
 

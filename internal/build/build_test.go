@@ -356,7 +356,7 @@ func TestEndToEndMatchesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := core.Count(g, core.Config{
-		K: k, Colorings: 8, SamplesPerColoring: 20000, Seed: 37,
+		K: k, Colorings: 8, Samples: 20000, Seed: 37,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/build"
 	"repro/internal/coloring"
@@ -59,10 +58,10 @@ func ParseStrategy(name string) (Strategy, error) {
 type MapMode int
 
 const (
-	// MapAuto — the default — maps MvT4 files and falls back to the heap
-	// loader for anything mapping cannot serve (older format versions,
-	// platforms without mmap). The right choice everywhere except tests
-	// that pin one path.
+	// MapAuto — the default — maps the file and falls back to the heap
+	// loader where mapping is unavailable (platforms without mmap,
+	// big-endian hosts). The right choice everywhere except tests that pin
+	// one path.
 	MapAuto MapMode = iota
 	// MapOff always loads onto the heap with eager whole-file validation.
 	MapOff
@@ -99,8 +98,8 @@ func ParseMapMode(name string) (MapMode, error) {
 }
 
 // ValidateCoverThreshold checks the AGS covering threshold c̄: it must be
-// ≥ 1. (Config.CoverThreshold additionally accepts 0 as "use the paper's
-// default of 1000".)
+// ≥ 1. (A zero Query.CoverThreshold is first defaulted to the paper's
+// 1000.)
 func ValidateCoverThreshold(c int) error {
 	if c < 1 {
 		return fmt.Errorf("core: cover threshold must be ≥ 1, got %d", c)
@@ -122,23 +121,26 @@ func ValidateSampleWorkers(w int) error {
 	return nil
 }
 
-// Config parameterizes a counting run.
+// Config parameterizes a counting run (the root package re-exports it as
+// motivo.Options). The zero value of every field is usable: withDefaults
+// completes it to K=4, one coloring, and the sampling defaults of Query.
 type Config struct {
-	// K is the graphlet size (2 ≤ K ≤ treelet.MaxK).
+	// K is the graphlet size (2 ≤ K ≤ treelet.MaxK). Default 4.
 	K int
 	// Colorings is γ, the number of independent colorings to average over
-	// (≥ 1).
+	// (≥ 1). Default 1.
 	Colorings int
-	// SamplesPerColoring is the per-coloring sampling budget.
-	SamplesPerColoring int
-	// Strategy selects naive sampling or AGS.
+	// Samples is the per-coloring sampling budget. Default 100000.
+	Samples int
+	// Strategy selects naive sampling or AGS. Default Naive.
 	Strategy Strategy
-	// CoverThreshold is AGS's c̄ (defaults to 1000 when 0).
+	// CoverThreshold is AGS's c̄. Default 1000.
 	CoverThreshold int
-	// BiasedLambda, when > 0, enables biased coloring with this λ
-	// (Section 3.4); 0 means uniform coloring.
-	BiasedLambda float64
-	// Seed makes the whole run reproducible.
+	// Lambda, when > 0, enables biased coloring with this λ (Section
+	// 3.4), trading accuracy for table size on large graphs; 0 means
+	// uniform coloring.
+	Lambda float64
+	// Seed makes the whole run reproducible. Default 1.
 	Seed int64
 	// Workers for the build-up phase; 0 = GOMAXPROCS.
 	Workers int
@@ -147,7 +149,8 @@ type Config struct {
 	// threads", Section 3.3). ≤ 1 samples sequentially. Naive sampling
 	// fans the whole budget out; AGS runs epoch-based (per-worker batches
 	// merged at barriers where cover detection and the shape switch run —
-	// see package ags).
+	// see package ags). Runs are deterministic for a fixed Seed and
+	// SampleWorkers value.
 	SampleWorkers int
 	// Spill enables greedy flushing of the count table to temp files.
 	Spill bool
@@ -155,22 +158,35 @@ type Config struct {
 	// each level is computed in vertex-range shards pulled from a shared
 	// work-stealing queue, records stream to per-shard spill files as they
 	// complete, and the level is externally merged into its final arena.
-	// The resulting table is bit-identical to an unbounded build. See
-	// build.Options.MemBudget for the exact semantics of the bound.
+	// The resulting table is bit-identical to an unbounded build at any
+	// worker count. See build.Options.MemBudget for the exact semantics of
+	// the bound.
 	MemBudget int64
-	// BufferThreshold overrides the neighbor-buffering degree threshold
-	// (0 keeps the paper's default of 10^4).
-	BufferThreshold int
 	// MaterializeStars disables smart-star synthesis (on by default):
 	// star-family records are computed by the DP and stored instead of
 	// being synthesized from colored-degree summaries. Estimates and draw
 	// sequences are bit-identical either way; materializing costs build
 	// time and table bytes and exists for comparison and debugging.
 	MaterializeStars bool
+	// TablePath, when set, skips the build-up phase entirely: the count
+	// table (and the coloring that produced it) is opened from a file
+	// written by BuildTable or `motivo build -o` — the build-once /
+	// query-many serving mode. It requires Colorings == 1 (a saved table
+	// captures exactly one coloring), K equal to the table's k and Lambda
+	// unset; a run with TablePath at seed s produces bit-identical
+	// estimates to an in-memory run at seed s whose table was saved by
+	// BuildTable.
+	TablePath string
+	// MapTable selects how TablePath is opened: the MapAuto zero value
+	// memory-maps the file (zero-copy, O(ms) open) and falls back to heap
+	// loading where mapping is unavailable. Estimates are bit-identical
+	// across modes.
+	MapTable MapMode
 	// Epsilon and Delta request run-to-precision AGS: sample until
 	// Theorem 3 certifies the estimates within relative error Epsilon at
 	// confidence 1−Delta, or MaxSamples is hit. Mutually exclusive with
-	// SamplesPerColoring; requires Strategy == AGS and Colorings == 1.
+	// Samples; requires Strategy == AGS and Colorings == 1. The
+	// certificate comes back in QueryResult.Achieved.
 	Epsilon float64
 	Delta   float64
 	// TargetMotif restricts the certificate to one canonical motif code;
@@ -178,88 +194,115 @@ type Config struct {
 	TargetMotif graphlet.Code
 	// MaxSamples caps a precision run (0 means ags.DefaultPrecisionCap).
 	MaxSamples int
-	// TablePath, when set, skips the build-up phase entirely: the count
-	// table (and the coloring that produced it) is opened from a file
-	// written by BuildTable or `motivo build -o` — the build-once /
-	// query-many serving mode. It requires Colorings == 1 (a saved table
-	// captures exactly one coloring) and K equal to the table's k; a run
-	// with TablePath at seed s produces bit-identical estimates to an
-	// in-memory run at seed s whose table was saved by BuildTable.
-	TablePath string
-	// MapTable selects how TablePath is opened: the MapAuto zero value
-	// memory-maps MvT4 files (zero-copy, O(ms) open) and falls back to
-	// heap loading where mapping is unavailable. Estimates are
-	// bit-identical across modes.
-	MapTable MapMode
 }
 
-// Result aggregates the estimates of a run.
-type Result struct {
-	// Counts estimates the number of induced occurrences per graphlet.
-	Counts estimate.Counts
-	// Frequencies is Counts normalized to sum to 1.
-	Frequencies estimate.Counts
-	// Samples is the total number of samples taken across colorings.
-	Samples int
-	// BuildTime and SampleTime aggregate phase durations across colorings.
-	BuildTime  time.Duration
-	SampleTime time.Duration
-	// OpenTime is the table open + engine construction cost of a TablePath
-	// run (zero when the table was built in-memory): opening a persisted
-	// table is not a build, so it is reported separately from BuildTime.
-	OpenTime time.Duration
-	// BuildStats holds the per-coloring build statistics.
-	BuildStats []*build.Stats
-	// TableBytes is the compact count-table payload of the last coloring.
-	TableBytes int64
-	// Covered is the number of AGS-covered graphlets (last coloring).
-	Covered int
-	// Achieved is the precision certificate of a run-to-precision run (nil
-	// for fixed-budget runs).
-	Achieved *Certificate
+// withDefaults completes the zero fields: K and Colorings here, the
+// sampling fields through Query.WithDefaults, so a one-shot run and an
+// Engine query default alike.
+func (cfg Config) withDefaults() Config {
+	if cfg.K == 0 {
+		cfg.K = 4
+	}
+	if cfg.Colorings == 0 {
+		cfg.Colorings = 1
+	}
+	q := cfg.query().WithDefaults()
+	cfg.Samples, cfg.CoverThreshold, cfg.Seed = q.Samples, q.CoverThreshold, q.Seed
+	return cfg
 }
 
-// validate checks the parts of the config shared by Count and BuildTable.
+// validate checks the parts of a defaulted config shared by Count,
+// Signatures and BuildTable.
 func (cfg Config) validate() error {
 	if cfg.K < 2 || cfg.K > treelet.MaxK {
 		return fmt.Errorf("core: K=%d out of range [2,%d]", cfg.K, treelet.MaxK)
 	}
-	if cfg.BiasedLambda > 0 {
-		if err := coloring.ValidateLambda(cfg.K, cfg.BiasedLambda); err != nil {
+	if cfg.Lambda > 0 {
+		if err := coloring.ValidateLambda(cfg.K, cfg.Lambda); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
 	return nil
 }
 
-// colorFor generates the coloring of run `run` — the one deterministic
-// seed schedule shared by Count and BuildTable, so a table saved by
-// BuildTable reproduces exactly the coloring Count would have built
-// in-memory at the same seed.
-func colorFor(g *graph.Graph, cfg Config, run int) *coloring.Coloring {
-	seed := cfg.Seed + int64(run)*7919
-	if cfg.BiasedLambda > 0 {
-		return coloring.Biased(g.NumNodes(), cfg.K, cfg.BiasedLambda, seed)
+// query maps the config's sampling knobs onto an engine query — the one
+// translation shared by every mode, so the one-shot paths and a
+// long-lived Engine cannot drift apart.
+func (cfg Config) query() Query {
+	return Query{
+		Strategy:       cfg.Strategy,
+		Samples:        cfg.Samples,
+		CoverThreshold: cfg.CoverThreshold,
+		Seed:           cfg.Seed,
+		SampleWorkers:  cfg.SampleWorkers,
+		Epsilon:        cfg.Epsilon,
+		Delta:          cfg.Delta,
+		TargetMotif:    cfg.TargetMotif,
+		MaxSamples:     cfg.MaxSamples,
 	}
-	return coloring.Uniform(g.NumNodes(), cfg.K, seed)
 }
 
-// buildFor runs the build-up phase with the config's build options.
-func buildFor(ctx context.Context, g *graph.Graph, cfg Config, col *coloring.Coloring, cat *treelet.Catalog) (*table.Table, *build.Stats, error) {
+// runSeed is the seed of coloring run `run` — the one deterministic seed
+// schedule shared by Count, Signatures and BuildTable, so a table saved by
+// BuildTable reproduces exactly the coloring Count would have built
+// in-memory at the same seed.
+func (cfg Config) runSeed(run int) int64 { return cfg.Seed + int64(run)*7919 }
+
+// engine colors g for run `run`, runs the build-up phase and wraps the
+// table in an engine sharing cat and sig.
+func (cfg Config) engine(ctx context.Context, g *graph.Graph, run int, cat *treelet.Catalog, sig *estimate.Sigma) (*Engine, *build.Stats, error) {
+	tab, col, stats, err := cfg.build(ctx, g, run, cat)
+	if err != nil {
+		return nil, nil, err
+	}
+	eng, err := newEngine(g, tab, col, cat, sig)
+	if err != nil {
+		return nil, nil, err
+	}
+	return eng, stats, nil
+}
+
+// build generates the coloring of run `run` and runs the build-up phase
+// with the config's build options.
+func (cfg Config) build(ctx context.Context, g *graph.Graph, run int, cat *treelet.Catalog) (*table.Table, *coloring.Coloring, *build.Stats, error) {
+	var col *coloring.Coloring
+	if seed := cfg.runSeed(run); cfg.Lambda > 0 {
+		col = coloring.Biased(g.NumNodes(), cfg.K, cfg.Lambda, seed)
+	} else {
+		col = coloring.Uniform(g.NumNodes(), cfg.K, seed)
+	}
 	opts := build.DefaultOptions()
 	opts.Workers = cfg.Workers
 	opts.Spill = cfg.Spill
 	opts.MemBudget = cfg.MemBudget
 	opts.SmartStars = !cfg.MaterializeStars
-	if cfg.BufferThreshold > 0 {
-		opts.BufferThreshold = cfg.BufferThreshold
+	tab, stats, err := build.Run(ctx, g, col, cfg.K, cat, opts)
+	return tab, col, stats, err
+}
+
+// openEngine opens cfg.TablePath for a one-shot run and checks it against
+// the config: one saved coloring, no λ, matching k.
+func (cfg Config) openEngine(g *graph.Graph) (*Engine, error) {
+	if cfg.Colorings != 1 {
+		return nil, fmt.Errorf("core: TablePath requires Colorings == 1 (a saved table captures one coloring), got %d", cfg.Colorings)
 	}
-	return build.Run(ctx, g, col, cfg.K, cat, opts)
+	if cfg.Lambda > 0 {
+		return nil, fmt.Errorf("core: Lambda has no effect with TablePath (the saved coloring is used); unset one")
+	}
+	eng, err := OpenMode(g, cfg.TablePath, cfg.MapTable)
+	if err != nil {
+		return nil, err
+	}
+	if eng.tab.K != cfg.K {
+		return nil, fmt.Errorf("core: table %s was built for k=%d, run wants k=%d", cfg.TablePath, eng.tab.K, cfg.K)
+	}
+	return eng, nil
 }
 
 // BuildTable runs the coloring and build-up phase for run 0 of cfg and
 // persists the table (arena + offset index + coloring) to path, so later
-// Count calls with Config.TablePath skip the build entirely.
+// Count calls with Config.TablePath skip the build entirely. Fields that
+// only affect sampling are ignored.
 func BuildTable(g *graph.Graph, cfg Config, path string) (*build.Stats, int64, error) {
 	return BuildTableContext(context.Background(), g, cfg, path)
 }
@@ -267,12 +310,11 @@ func BuildTable(g *graph.Graph, cfg Config, path string) (*build.Stats, int64, e
 // BuildTableContext is BuildTable honoring a context: a canceled or
 // expired ctx stops the build-up phase promptly.
 func BuildTableContext(ctx context.Context, g *graph.Graph, cfg Config, path string) (*build.Stats, int64, error) {
+	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, 0, err
 	}
-	cat := treelet.NewCatalog(cfg.K)
-	col := colorFor(g, cfg, 0)
-	tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+	tab, col, stats, err := cfg.build(ctx, g, 0, treelet.NewCatalog(cfg.K))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -283,32 +325,8 @@ func BuildTableContext(ctx context.Context, g *graph.Graph, cfg Config, path str
 	return stats, fileBytes, nil
 }
 
-// query maps the config's sampling knobs onto an engine query at seed —
-// the one translation shared by every mode, so the one-shot paths and a
-// long-lived Engine cannot drift apart.
-func (cfg Config) query(seed int64) Query {
-	return Query{
-		Strategy:        cfg.Strategy,
-		Samples:         cfg.SamplesPerColoring,
-		CoverThreshold:  cfg.CoverThreshold,
-		Seed:            seed,
-		SampleWorkers:   cfg.SampleWorkers,
-		BufferThreshold: cfg.BufferThreshold,
-		Epsilon:         cfg.Epsilon,
-		Delta:           cfg.Delta,
-		TargetMotif:     cfg.TargetMotif,
-		MaxSamples:      cfg.MaxSamples,
-	}
-}
-
-// precisionMode reports whether any run-to-precision field of the config
-// is set (mirrors Query.PrecisionMode).
-func (cfg Config) precisionMode() bool {
-	return cfg.Epsilon != 0 || cfg.Delta != 0 || cfg.MaxSamples != 0 || cfg.TargetMotif != (graphlet.Code{})
-}
-
 // Count runs the motivo pipeline on g.
-func Count(g *graph.Graph, cfg Config) (*Result, error) {
+func Count(g *graph.Graph, cfg Config) (*QueryResult, error) {
 	return CountContext(context.Background(), g, cfg)
 }
 
@@ -321,83 +339,48 @@ func Count(g *graph.Graph, cfg Config) (*Result, error) {
 // builds one engine per coloring. Either way the sampling code path is
 // Engine.Count, so a one-shot run is bit-identical to the same query
 // against a long-lived engine at the same seed.
-func CountContext(ctx context.Context, g *graph.Graph, cfg Config) (*Result, error) {
+func CountContext(ctx context.Context, g *graph.Graph, cfg Config) (*QueryResult, error) {
+	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Colorings < 1 {
 		return nil, fmt.Errorf("core: Colorings must be ≥ 1, got %d", cfg.Colorings)
 	}
-	if cfg.precisionMode() {
-		// The per-query invariants (AGS-only, positive ε, δ in (0,1)) are
-		// checked by Query.Validate inside Engine.Count.
-		if cfg.Colorings != 1 {
-			return nil, fmt.Errorf("core: run-to-precision requires Colorings == 1 (the certificate covers one coloring), got %d", cfg.Colorings)
-		}
-		if cfg.SamplesPerColoring != 0 {
-			return nil, fmt.Errorf("core: SamplesPerColoring and run-to-precision are mutually exclusive")
-		}
-	} else if cfg.SamplesPerColoring < 1 {
-		return nil, fmt.Errorf("core: SamplesPerColoring must be ≥ 1, got %d", cfg.SamplesPerColoring)
+	q := cfg.query()
+	if q.PrecisionMode() && cfg.Colorings != 1 {
+		return nil, fmt.Errorf("core: run-to-precision requires Colorings == 1 (the certificate covers one coloring), got %d", cfg.Colorings)
 	}
-	if err := ValidateSampleWorkers(cfg.SampleWorkers); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	cover := cfg.CoverThreshold
-	if cover == 0 {
-		cover = 1000
-	}
-	if err := ValidateCoverThreshold(cover); err != nil {
-		return nil, err
-	}
-	res := &Result{Counts: make(estimate.Counts)}
 
 	if cfg.TablePath != "" {
-		if cfg.Colorings != 1 {
-			return nil, fmt.Errorf("core: TablePath requires Colorings == 1 (a saved table captures one coloring), got %d", cfg.Colorings)
-		}
-		if cfg.BiasedLambda > 0 {
-			return nil, fmt.Errorf("core: BiasedLambda has no effect with TablePath (the saved coloring is used); unset one")
-		}
-		eng, err := OpenMode(g, cfg.TablePath, cfg.MapTable)
+		eng, err := cfg.openEngine(g)
 		if err != nil {
 			return nil, err
 		}
-		if eng.K() != cfg.K {
-			return nil, fmt.Errorf("core: table %s was built for k=%d, run wants k=%d", cfg.TablePath, eng.K(), cfg.K)
-		}
-		res.OpenTime = eng.OpenTime()
-		res.TableBytes = eng.TableBytes()
-		qres, err := eng.Count(ctx, cfg.query(cfg.Seed))
+		res, err := eng.Count(ctx, q)
 		if err != nil {
 			return nil, err
 		}
-		res.Counts = qres.Counts
-		res.Frequencies = qres.Frequencies
-		res.Samples = qres.Samples
-		res.Covered = qres.Covered
-		res.Achieved = qres.Achieved
-		res.SampleTime = qres.SampleTime
+		res.OpenTime = eng.openTime
 		return res, nil
 	}
 
+	res := &QueryResult{K: cfg.K, Counts: make(estimate.Counts)}
 	cat := treelet.NewCatalog(cfg.K)
 	sig := estimate.NewSigma(cfg.K)
 	for run := 0; run < cfg.Colorings; run++ {
-		seed := cfg.Seed + int64(run)*7919
-		col := colorFor(g, cfg, run)
-		tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+		eng, stats, err := cfg.engine(ctx, g, run, cat, sig)
 		if err != nil {
 			return nil, err
 		}
 		res.BuildTime += stats.Duration
 		res.BuildStats = append(res.BuildStats, stats)
 		res.TableBytes = stats.TableBytes
-		eng, err := newEngine(g, tab, col, cat, sig)
-		if err != nil {
-			return nil, err
-		}
-		qres, err := eng.Count(ctx, cfg.query(seed))
+		q.Seed = cfg.runSeed(run)
+		qres, err := eng.Count(ctx, q)
 		if err != nil {
 			return nil, err
 		}

@@ -13,11 +13,11 @@ import (
 func TestValidation(t *testing.T) {
 	g := gen.Path(5)
 	cases := []Config{
-		{K: 1, Colorings: 1, SamplesPerColoring: 10},
-		{K: 20, Colorings: 1, SamplesPerColoring: 10},
-		{K: 3, Colorings: 0, SamplesPerColoring: 10},
-		{K: 3, Colorings: 1, SamplesPerColoring: 0},
-		{K: 3, Colorings: 1, SamplesPerColoring: 10, BiasedLambda: 0.9},
+		{K: 1, Colorings: 1, Samples: 10},
+		{K: 20, Colorings: 1, Samples: 10},
+		{K: 3, Colorings: -1, Samples: 10},
+		{K: 3, Colorings: 1, Samples: -1},
+		{K: 3, Colorings: 1, Samples: 10, Lambda: 0.9},
 	}
 	for i, cfg := range cases {
 		if _, err := Count(g, cfg); err == nil {
@@ -28,7 +28,7 @@ func TestValidation(t *testing.T) {
 	// non-empty, otherwise the coloring is skipped before the strategy
 	// dispatch.
 	big := gen.ErdosRenyi(100, 300, 1)
-	if _, err := Count(big, Config{K: 3, Colorings: 1, SamplesPerColoring: 10, Strategy: Strategy(99)}); err == nil {
+	if _, err := Count(big, Config{K: 3, Colorings: 1, Samples: 10, Strategy: Strategy(99)}); err == nil {
 		t.Error("unknown strategy must fail")
 	}
 }
@@ -72,10 +72,10 @@ func TestFlagValidators(t *testing.T) {
 		}
 	}
 	g := gen.ErdosRenyi(30, 90, 53)
-	if _, err := Count(g, Config{K: 3, Colorings: 1, SamplesPerColoring: 10, SampleWorkers: -2}); err == nil {
+	if _, err := Count(g, Config{K: 3, Colorings: 1, Samples: 10, SampleWorkers: -2}); err == nil {
 		t.Error("Count accepted negative SampleWorkers")
 	}
-	if _, err := Count(g, Config{K: 3, Colorings: 1, SamplesPerColoring: 10, Strategy: AGS, CoverThreshold: -1}); err == nil {
+	if _, err := Count(g, Config{K: 3, Colorings: 1, Samples: 10, Strategy: AGS, CoverThreshold: -1}); err == nil {
 		t.Error("Count accepted negative CoverThreshold")
 	}
 }
@@ -88,7 +88,7 @@ func TestNaiveAndAGSAgreeWithExact(t *testing.T) {
 	}
 	for _, strat := range []Strategy{Naive, AGS} {
 		res, err := Count(g, Config{
-			K: 4, Colorings: 6, SamplesPerColoring: 20000,
+			K: 4, Colorings: 6, Samples: 20000,
 			Strategy: strat, CoverThreshold: 400, Seed: 5,
 		})
 		if err != nil {
@@ -115,7 +115,7 @@ func TestNaiveAndAGSAgreeWithExact(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	g := gen.BarabasiAlbert(150, 3, 7)
-	cfg := Config{K: 4, Colorings: 2, SamplesPerColoring: 3000, Seed: 11}
+	cfg := Config{K: 4, Colorings: 2, Samples: 3000, Seed: 11}
 	a, err := Count(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +137,8 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestBiasedColoringPath(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 3, 13)
 	res, err := Count(g, Config{
-		K: 4, Colorings: 3, SamplesPerColoring: 10000,
-		BiasedLambda: 0.15, Seed: 17,
+		K: 4, Colorings: 3, Samples: 10000,
+		Lambda: 0.15, Seed: 17,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestTinyGraphEmptyColorings(t *testing.T) {
 	// On a 4-node graph with k=4, many colorings leave the urn empty;
 	// Count must survive and still average the lucky ones.
 	g := gen.Complete(4)
-	res, err := Count(g, Config{K: 4, Colorings: 30, SamplesPerColoring: 100, Seed: 19})
+	res, err := Count(g, Config{K: 4, Colorings: 30, Samples: 100, Seed: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	par, err := Count(g, Config{
-		K: 4, Colorings: 4, SamplesPerColoring: 20000,
+		K: 4, Colorings: 4, Samples: 20000,
 		SampleWorkers: 4, Seed: 37,
 	})
 	if err != nil {
@@ -185,7 +185,7 @@ func TestParallelSamplingMatchesSequential(t *testing.T) {
 	}
 	// Deterministic for fixed seed and worker count.
 	par2, err := Count(g, Config{
-		K: 4, Colorings: 4, SamplesPerColoring: 20000,
+		K: 4, Colorings: 4, Samples: 20000,
 		SampleWorkers: 4, Seed: 37,
 	})
 	if err != nil {
@@ -208,7 +208,7 @@ func TestParallelAGSThroughCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		K: 4, Colorings: 4, SamplesPerColoring: 20000,
+		K: 4, Colorings: 4, Samples: 20000,
 		Strategy: AGS, CoverThreshold: 400,
 		SampleWorkers: 4, Seed: 41,
 	}
@@ -233,24 +233,9 @@ func TestParallelAGSThroughCore(t *testing.T) {
 	}
 }
 
-func TestBufferThresholdReachesBuild(t *testing.T) {
-	// K=4 so a DP pass actually runs: smart stars synthesize all of K ≤ 3.
-	g := gen.StarHeavy(1, 120, 30, 43)
-	res, err := Count(g, Config{
-		K: 4, Colorings: 1, SamplesPerColoring: 500,
-		BufferThreshold: 1, Seed: 47,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.BuildStats) != 1 || res.BuildStats[0].BufferedNodes == 0 {
-		t.Fatal("BufferThreshold override did not reach the build phase")
-	}
-}
-
 func TestSpillPath(t *testing.T) {
 	g := gen.ErdosRenyi(80, 240, 23)
-	res, err := Count(g, Config{K: 4, Colorings: 1, SamplesPerColoring: 2000, Spill: true, Seed: 29})
+	res, err := Count(g, Config{K: 4, Colorings: 1, Samples: 2000, Spill: true, Seed: 29})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +252,7 @@ func TestPersistentTableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, strat := range []Strategy{Naive, AGS} {
 		cfg := Config{
-			K: 4, Colorings: 1, SamplesPerColoring: 8000,
+			K: 4, Colorings: 1, Samples: 8000,
 			Strategy: strat, CoverThreshold: 300, Seed: 67,
 		}
 		mem, err := Count(g, cfg)
@@ -297,7 +282,7 @@ func TestPersistentTableRoundTrip(t *testing.T) {
 		}
 		// Query-many: a second query with a different budget works off the
 		// same file without rebuilding.
-		loaded.SamplesPerColoring = 2000
+		loaded.Samples = 2000
 		if _, err := Count(g, loaded); err != nil {
 			t.Fatal(err)
 		}
@@ -316,10 +301,10 @@ func TestTablePathValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"missing file", Config{K: 4, Colorings: 1, SamplesPerColoring: 10, TablePath: dir + "/nope.tbl"}},
-		{"colorings > 1", Config{K: 4, Colorings: 2, SamplesPerColoring: 10, TablePath: path}},
-		{"lambda set", Config{K: 4, Colorings: 1, SamplesPerColoring: 10, BiasedLambda: 0.1, TablePath: path}},
-		{"k mismatch", Config{K: 5, Colorings: 1, SamplesPerColoring: 10, TablePath: path}},
+		{"missing file", Config{K: 4, Colorings: 1, Samples: 10, TablePath: dir + "/nope.tbl"}},
+		{"colorings > 1", Config{K: 4, Colorings: 2, Samples: 10, TablePath: path}},
+		{"lambda set", Config{K: 4, Colorings: 1, Samples: 10, Lambda: 0.1, TablePath: path}},
+		{"k mismatch", Config{K: 5, Colorings: 1, Samples: 10, TablePath: path}},
 	}
 	for _, tc := range cases {
 		if _, err := Count(g, tc.cfg); err == nil {
@@ -328,7 +313,7 @@ func TestTablePathValidation(t *testing.T) {
 	}
 	// Node-count mismatch: same table, different graph.
 	other := gen.ErdosRenyi(40, 120, 73)
-	if _, err := Count(other, Config{K: 4, Colorings: 1, SamplesPerColoring: 10, TablePath: path}); err == nil {
+	if _, err := Count(other, Config{K: 4, Colorings: 1, Samples: 10, TablePath: path}); err == nil {
 		t.Error("node-count mismatch: expected error")
 	}
 }

@@ -35,7 +35,7 @@ func TestEngineMatchesOneShot(t *testing.T) {
 	eng, path := engineFixture(t, g, 4, 67)
 	for _, strat := range []Strategy{Naive, AGS} {
 		cfg := Config{
-			K: 4, Colorings: 1, SamplesPerColoring: 8000,
+			K: 4, Colorings: 1, Samples: 8000,
 			Strategy: strat, CoverThreshold: 300, Seed: 67,
 		}
 		mem, err := Count(g, cfg)
@@ -48,7 +48,7 @@ func TestEngineMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qres, err := eng.Count(context.Background(), cfg.query(cfg.Seed))
+		qres, err := eng.Count(context.Background(), cfg.query())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,10 +89,10 @@ func TestEngineConcurrentQueries(t *testing.T) {
 			job{AGS, int64(400 + i), 3},
 		)
 	}
-	want := make([]*Result, len(jobs))
+	want := make([]*QueryResult, len(jobs))
 	for i, j := range jobs {
 		cfg := Config{
-			K: 4, Colorings: 1, SamplesPerColoring: 4000,
+			K: 4, Colorings: 1, Samples: 4000,
 			Strategy: j.strat, CoverThreshold: 200,
 			Seed: j.seed, SampleWorkers: j.workers, TablePath: path,
 		}
@@ -137,7 +137,7 @@ func TestEngineQueryValidation(t *testing.T) {
 	eng, _ := engineFixture(t, g, 4, 3)
 	ctx := context.Background()
 	cases := []Query{
-		{Samples: 0},                          // no budget
+		{Samples: -1},                         // negative budget
 		{Samples: 10, SampleWorkers: -1},      // bad workers
 		{Samples: 10, CoverThreshold: -2},     // bad c̄
 		{Samples: 10, Strategy: Strategy(99)}, // unknown strategy
@@ -213,7 +213,7 @@ func TestCountContextCancelsBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g := gen.ErdosRenyi(80, 240, 23)
-	if _, err := CountContext(ctx, g, Config{K: 4, Colorings: 1, SamplesPerColoring: 100, Seed: 29}); err != context.Canceled {
+	if _, err := CountContext(ctx, g, Config{K: 4, Colorings: 1, Samples: 100, Seed: 29}); err != context.Canceled {
 		t.Errorf("want context.Canceled, got %v", err)
 	}
 	if _, _, err := BuildTableContext(ctx, g, Config{K: 4, Seed: 29}, t.TempDir()+"/x.tbl"); err != context.Canceled {
@@ -254,14 +254,14 @@ func TestResultOpenTime(t *testing.T) {
 	if _, _, err := BuildTable(g, Config{K: 4, Seed: 43}, path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Count(g, Config{K: 4, Colorings: 1, SamplesPerColoring: 500, Seed: 43, TablePath: path})
+	loaded, err := Count(g, Config{K: 4, Colorings: 1, Samples: 500, Seed: 43, TablePath: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.OpenTime <= 0 || loaded.BuildTime != 0 {
 		t.Errorf("TablePath run: OpenTime=%v BuildTime=%v, want open>0 build=0", loaded.OpenTime, loaded.BuildTime)
 	}
-	mem, err := Count(g, Config{K: 4, Colorings: 1, SamplesPerColoring: 500, Seed: 43})
+	mem, err := Count(g, Config{K: 4, Colorings: 1, Samples: 500, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}

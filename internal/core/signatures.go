@@ -3,12 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
-	"math/rand"
 	"sort"
 	"time"
 
-	"repro/internal/ags"
 	"repro/internal/estimate"
 	"repro/internal/graph"
 	"repro/internal/graphlet"
@@ -41,6 +38,8 @@ type NodeSignature struct {
 // k × Tallies[motif] for every motif: each sampled occurrence touches k
 // distinct vertices and contributes one tally.
 type SignaturesResult struct {
+	// K is the graphlet size sampled.
+	K int
 	// Motifs lists the tallied canonical codes in sorted order; every
 	// NodeSignature.Counts vector is aligned with it.
 	Motifs []graphlet.Code
@@ -172,12 +171,6 @@ func (a *sigAccumulator) assemble(res *SignaturesResult, requested []int32) {
 // fixed seed the vectors are bit-identical at any SampleWorkers count —
 // unlike Count, whose draw sequence follows the worker count.
 func (e *Engine) Signatures(ctx context.Context, q Query, nodes []int32) (*SignaturesResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := e.validateTarget(q); err != nil {
-		return nil, err
-	}
 	if len(nodes) == 0 {
 		nodes = nil // empty and nil both mean "all touched nodes"
 	}
@@ -186,74 +179,19 @@ func (e *Engine) Signatures(ctx context.Context, q Query, nodes []int32) (*Signa
 			return nil, fmt.Errorf("core: node %d out of range [0, %d)", v, e.g.NumNodes())
 		}
 	}
-	cover := q.CoverThreshold
-	if cover == 0 {
-		cover = 1000
-	}
-	if err := ctx.Err(); err != nil {
+	acc := newSigAccumulator(nodes, SignatureStreams)
+	out, elapsed, err := e.sample(ctx, q.WithDefaults(), SignatureStreams, acc.observe)
+	if err != nil {
 		return nil, err
 	}
-	res := &SignaturesResult{Tallies: make(map[graphlet.Code]int64)}
-	acc := newSigAccumulator(nodes, SignatureStreams)
-	if e.urn.Empty() {
-		if q.PrecisionMode() {
-			res.Achieved = &Certificate{Eps: math.Inf(1), Delta: q.Delta}
-		}
-		acc.assemble(res, nodes)
-		return res, nil
+	res := &SignaturesResult{
+		K:          e.tab.K,
+		Tallies:    out.Tallies,
+		Samples:    out.Samples,
+		Covered:    out.Covered,
+		Achieved:   out.Achieved,
+		SampleTime: elapsed,
 	}
-	urn := e.urn.Clone()
-	if q.BufferThreshold > 0 {
-		urn.BufferThreshold = q.BufferThreshold
-	}
-	var ss *ags.ShapeSet
-	if q.Strategy == AGS {
-		var err error
-		if ss, err = e.shapes(); err != nil {
-			return nil, err
-		}
-	}
-	rng := rand.New(rand.NewSource(q.Seed ^ 0x5DEECE66D))
-	start := time.Now()
-	switch q.Strategy {
-	case Naive:
-		tallies, err := naiveTallies(ctx, urn, q.Samples, q.SampleWorkers, SignatureStreams, rng, acc.observe)
-		if err != nil {
-			return nil, err
-		}
-		res.Tallies = tallies
-		res.Samples = q.Samples
-	case AGS:
-		aopts := ags.Options{
-			CoverThreshold: cover,
-			Rng:            rng,
-			Workers:        q.SampleWorkers,
-			VirtualWorkers: SignatureStreams,
-			Observe:        acc.observe,
-			Shapes:         ss,
-		}
-		if q.PrecisionMode() {
-			aopts.Precision = &ags.Precision{
-				Eps:        q.Epsilon,
-				Delta:      q.Delta,
-				Target:     q.TargetMotif,
-				MaxSamples: q.MaxSamples,
-			}
-		} else {
-			aopts.Budget = q.Samples
-		}
-		out, err := ags.Run(ctx, urn, aopts)
-		if err != nil {
-			return nil, err
-		}
-		res.Tallies = out.Tallies
-		res.Samples = out.Samples
-		res.Covered = out.Covered
-		res.Achieved = out.Achieved
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %d", q.Strategy)
-	}
-	res.SampleTime = time.Since(start)
 	acc.assemble(res, nodes)
 	return res, nil
 }
@@ -267,6 +205,7 @@ func Signatures(g *graph.Graph, cfg Config, nodes []int32) (*SignaturesResult, e
 
 // SignaturesContext is Signatures honoring a context.
 func SignaturesContext(ctx context.Context, g *graph.Graph, cfg Config, nodes []int32) (*SignaturesResult, error) {
+	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -275,36 +214,24 @@ func SignaturesContext(ctx context.Context, g *graph.Graph, cfg Config, nodes []
 	}
 
 	if cfg.TablePath != "" {
-		if cfg.BiasedLambda > 0 {
-			return nil, fmt.Errorf("core: BiasedLambda has no effect with TablePath (the saved coloring is used); unset one")
-		}
-		eng, err := OpenMode(g, cfg.TablePath, cfg.MapTable)
+		eng, err := cfg.openEngine(g)
 		if err != nil {
 			return nil, err
 		}
-		if eng.K() != cfg.K {
-			return nil, fmt.Errorf("core: table %s was built for k=%d, run wants k=%d", cfg.TablePath, eng.K(), cfg.K)
-		}
-		res, err := eng.Signatures(ctx, cfg.query(cfg.Seed), nodes)
+		res, err := eng.Signatures(ctx, cfg.query(), nodes)
 		if err != nil {
 			return nil, err
 		}
-		res.OpenTime = eng.OpenTime()
-		res.TableBytes = eng.TableBytes()
+		res.OpenTime = eng.openTime
+		res.TableBytes = eng.tab.Bytes()
 		return res, nil
 	}
 
-	cat := treelet.NewCatalog(cfg.K)
-	col := colorFor(g, cfg, 0)
-	tab, stats, err := buildFor(ctx, g, cfg, col, cat)
+	eng, stats, err := cfg.engine(ctx, g, 0, treelet.NewCatalog(cfg.K), estimate.NewSigma(cfg.K))
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newEngine(g, tab, col, cat, estimate.NewSigma(cfg.K))
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Signatures(ctx, cfg.query(cfg.Seed), nodes)
+	res, err := eng.Signatures(ctx, cfg.query(), nodes)
 	if err != nil {
 		return nil, err
 	}

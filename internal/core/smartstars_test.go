@@ -42,20 +42,20 @@ func smartVsMaterialized(t *testing.T, cfg Config) {
 
 func TestSmartStarsBitIdenticalNaive(t *testing.T) {
 	smartVsMaterialized(t, Config{
-		K: 5, Colorings: 1, SamplesPerColoring: 4000, Seed: 99,
+		K: 5, Colorings: 1, Samples: 4000, Seed: 99,
 	})
 }
 
 func TestSmartStarsBitIdenticalAGS(t *testing.T) {
 	smartVsMaterialized(t, Config{
-		K: 5, Colorings: 1, SamplesPerColoring: 4000, Seed: 99,
+		K: 5, Colorings: 1, Samples: 4000, Seed: 99,
 		Strategy: AGS, CoverThreshold: 50,
 	})
 }
 
 func TestSmartStarsBitIdenticalParallel(t *testing.T) {
 	smartVsMaterialized(t, Config{
-		K: 4, Colorings: 2, SamplesPerColoring: 3000, Seed: 7,
+		K: 4, Colorings: 2, Samples: 3000, Seed: 7,
 		SampleWorkers: 4,
 	})
 }
@@ -66,7 +66,7 @@ func TestSmartStarsBitIdenticalParallel(t *testing.T) {
 // materialized in-memory run bit for bit.
 func TestSmartStarsBitIdenticalPersisted(t *testing.T) {
 	g := gen.BarabasiAlbert(200, 3, 5)
-	cfg := Config{K: 5, Colorings: 1, SamplesPerColoring: 3000, Seed: 31, Strategy: AGS, CoverThreshold: 40}
+	cfg := Config{K: 5, Colorings: 1, Samples: 3000, Seed: 31, Strategy: AGS, CoverThreshold: 40}
 
 	path := filepath.Join(t.TempDir(), "smart.tbl")
 	if _, _, err := BuildTable(g, cfg, path); err != nil {

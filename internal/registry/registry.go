@@ -283,8 +283,10 @@ func (r *Registry) Evict(name string) bool {
 // Count resolves the named engine and serves one query. When cacheable is
 // true (the caller saw an explicit seed) an identical previously answered
 // (graph, Query) returns the cached result without sampling; hit reports
-// which path answered.
+// which path answered. Queries are keyed after defaulting, so a zero field
+// and its default value share one cache entry.
 func (r *Registry) Count(ctx context.Context, name string, q core.Query, cacheable bool) (res *core.QueryResult, hit bool, err error) {
+	q = q.WithDefaults()
 	if err := q.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -358,20 +360,6 @@ func (r *Registry) Signatures(ctx context.Context, name string, q core.Query, no
 		e.queries.Add(1)
 	}
 	return res, nil
-}
-
-// Meta returns the graphlet size and packed table payload size of the
-// named graph's table. Both are known from registration time (Open loads
-// eagerly) and do not require — or cause — the engine to be resident, so
-// cache hits can be rendered without reopening an evicted engine.
-func (r *Registry) Meta(name string) (k int, tableBytes int64, err error) {
-	e := r.entry(name)
-	if e == nil {
-		return 0, 0, &UnknownGraphError{name}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return e.k, e.tableBytes, nil
 }
 
 func (r *Registry) entry(name string) *graphEntry {

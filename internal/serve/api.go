@@ -1,15 +1,13 @@
 package serve
 
-// Wire types of the HTTP API, shared by the /v1 handlers and the legacy
-// single-graph aliases. Everything in this file is a JSON contract:
-// field additions must be backward compatible (omitempty on anything the
-// legacy endpoints don't set) and nothing here may depend on handler
-// internals.
+// Wire types of the HTTP API. Everything in this file is a JSON contract:
+// field additions must be backward compatible and nothing here may depend
+// on handler internals.
 
-// CountRequest is the JSON body of POST /count and
-// POST /v1/graphs/{name}/count, and the element type of a batch's query
-// list. Every field is optional: the zero value runs 100k naive samples
-// at seed 1, the defaults of the library's Query.
+// CountRequest is the JSON body of POST /v1/graphs/{name}/count, and the
+// element type of a batch's query list. Every field is optional: the zero
+// value runs 100k naive samples at seed 1, the defaults of the library's
+// Query.
 type CountRequest struct {
 	// Strategy is "naive" (default) or "ags".
 	Strategy string `json:"strategy"`
@@ -66,9 +64,9 @@ type CountEstimate struct {
 	Frequency   float64 `json:"frequency"`
 }
 
-// CountResponse is the JSON body answering a count query. Graph is set by
-// the /v1 handlers only; the legacy /count endpoint (which serves exactly
-// one graph) omits it, keeping its historical body byte-stable.
+// CountResponse is the JSON body answering a count query. Graph is set on
+// a single count's response; batch entries omit it (the batch names its
+// graph once).
 type CountResponse struct {
 	Graph        string          `json:"graph,omitempty"`
 	K            int             `json:"k"`
@@ -141,7 +139,7 @@ type BatchRequest struct {
 	// Graph names the registered graph every query in the batch runs
 	// against. Empty means the server's default graph.
 	Graph string `json:"graph"`
-	// Queries is the per-entry query list (same schema as /count bodies).
+	// Queries is the per-entry query list (same schema as count bodies).
 	Queries []CountRequest `json:"queries"`
 }
 
@@ -186,21 +184,6 @@ type GraphsResponse struct {
 	Graphs []GraphInfo `json:"graphs"`
 }
 
-// Stats is the JSON body answering the legacy GET /stats: the default
-// graph's engine statistics plus server-wide traffic counters.
-type Stats struct {
-	K          int   `json:"k"`
-	Nodes      int   `json:"nodes"`
-	Edges      int64 `json:"edges"`
-	TableBytes int64 `json:"tableBytes"`
-	// OpenMs is the one-time table open + urn construction cost the engine
-	// amortizes over every query it serves.
-	OpenMs       float64 `json:"openMs"`
-	UptimeSec    float64 `json:"uptimeSec"`
-	Queries      int64   `json:"queries"`
-	TotalSamples int64   `json:"totalSamples"`
-}
-
 // Machine-readable error codes carried by every /v1 error response.
 const (
 	// codeBadRequest: the request body or parameters are malformed.
@@ -217,8 +200,7 @@ const (
 )
 
 // errorResponse is the JSON body of every error answer. Error is the
-// human-readable message; Code the stable machine-readable class (always
-// set on /v1 responses).
+// human-readable message; Code the stable machine-readable class.
 type errorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`

@@ -8,7 +8,7 @@ import (
 	"repro/internal/core"
 )
 
-// FuzzCountRequest drives arbitrary bytes through the /count body decoder.
+// FuzzCountRequest drives arbitrary bytes through the count body decoder.
 // The decoder must be total: any input yields either a valid, fully
 // validated engine query or an error — never a panic, and never a query
 // that violates the invariants the engine relies on (positive budget,

@@ -9,17 +9,12 @@
 //
 // Versioned API:
 //
-//	POST /v1/graphs/{name}/count   one query against a named graph
-//	POST /v1/batch                 a query list off one engine resolution
-//	GET  /v1/graphs                every registered graph + residency
-//	GET  /metrics                  Prometheus text format
-//
-// Legacy single-graph API, aliased onto the default graph so pre-v1
-// clients keep working:
-//
-//	POST /count   {"strategy":"ags","samples":50000,"seed":7,"top":10}
-//	GET  /stats   engine + traffic statistics (open time, queries, …)
-//	GET  /healthz liveness probe
+//	POST /v1/graphs/{name}/count       one query against a named graph
+//	POST /v1/graphs/{name}/signatures  per-node graphlet signatures
+//	POST /v1/batch                     a query list off one engine resolution
+//	GET  /v1/graphs                    every registered graph + residency
+//	GET  /metrics                      Prometheus text format
+//	GET  /healthz                      liveness probe
 //
 // Admission control: Config.MaxInflight bounds concurrent sampling
 // requests; beyond it the server answers 429 with a Retry-After header
@@ -49,9 +44,8 @@ import (
 type Config struct {
 	// Registry is the engine registry to serve (required).
 	Registry *registry.Registry
-	// DefaultGraph is the registered name the legacy /count and /stats
-	// endpoints alias onto. Empty means the first registered name in List
-	// order.
+	// DefaultGraph is the registered name a batch without a graph runs
+	// against. Empty means the first registered name in List order.
 	DefaultGraph string
 	// MaxInflight caps concurrent sampling requests (a batch counts as
 	// one); beyond it requests answer 429 + Retry-After. 0 = unlimited.
@@ -111,8 +105,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/graphs", s.handleV1Graphs)
 	s.mux.HandleFunc("/v1/batch", s.handleV1Batch)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/count", s.handleCount)
-	s.mux.HandleFunc("/stats", s.handleStats)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	return s
 }
@@ -172,7 +164,7 @@ func (s *Server) overloaded(w http.ResponseWriter) {
 		"server is at its in-flight sampling limit; retry shortly")
 }
 
-// maxCountBody bounds the /count request body: queries are a handful of
+// maxCountBody bounds a count request body: queries are a handful of
 // scalar fields; a megabyte bounds any honest request and stops hostile
 // bodies from buffering into server memory. Batch bodies scale it by the
 // entry limit's order of magnitude.
@@ -180,9 +172,11 @@ const maxCountBody = 1 << 20
 const maxBatchBody = 4 << 20
 
 // queryFromRequest validates and defaults one wire-level query into an
-// engine query — the single translation used by /count, /v1 count and
-// every batch entry. The request's own fields are left as sent, so the
-// caller can still see whether the seed was explicit (req.Seed != 0).
+// engine query — the single translation used by the count and signatures
+// endpoints and every batch entry. The sampling defaults are the engine's
+// own (core.Query.WithDefaults); only the wire-level precision
+// conveniences are filled here. The request's fields are left as sent, so
+// the caller can still see whether the seed was explicit (req.Seed != 0).
 func queryFromRequest(req *CountRequest) (core.Query, error) {
 	precision := req.Epsilon != 0 || req.Delta != 0 || req.TargetMotif != "" || req.MaxSamples != 0
 	strategy := core.Naive
@@ -217,22 +211,15 @@ func queryFromRequest(req *CountRequest) (core.Query, error) {
 		}
 		q.TargetMotif = target
 	}
-	if precision {
-		if q.Delta == 0 {
-			q.Delta = 0.05
-		}
-	} else if q.Samples == 0 {
-		q.Samples = 100000
+	if precision && q.Delta == 0 {
+		q.Delta = 0.05
 	}
-	if q.Seed == 0 {
-		q.Seed = 1
-	}
-	// One validation path for every entry point (satellite of the paper's
-	// serving story): the engine's own Query.Validate.
+	// One validation path for every entry point: the engine's own
+	// Query.Validate.
 	if err := q.Validate(); err != nil {
 		return core.Query{}, err
 	}
-	return q, nil
+	return q.WithDefaults(), nil
 }
 
 // decodeCountRequest parses and validates a count body into an engine
@@ -278,53 +265,30 @@ func (s *Server) countOn(ctx context.Context, name string, q core.Query, req *Co
 			return nil, false, http.StatusInternalServerError, codeInternal, err
 		}
 	}
-	// K comes from the registry's metadata, not the engine: a cache hit
-	// must not force an evicted engine back into memory just to render.
-	k, _, err := s.reg.Meta(name)
-	if err != nil {
-		return nil, false, http.StatusInternalServerError, codeInternal, err
-	}
-	return renderCountResponse(k, q.Strategy, req.Top, qres), hit, 0, "", nil
+	return renderCountResponse(q.Strategy, req.Top, qres), hit, 0, "", nil
 }
 
-// renderCountResponse renders a query result with estimates in
-// deterministic largest-first order, so a cached result re-renders to the
-// exact bytes its cold run produced. Sorting and truncation run on the raw
-// codes first; the Describe/format work happens only for the entries
-// actually served.
-func renderCountResponse(k int, strategy core.Strategy, top int, qres *core.QueryResult) *CountResponse {
-	type rawEstimate struct {
-		code  graphlet.Code
-		count float64
-	}
-	raw := make([]rawEstimate, 0, len(qres.Counts))
-	for code, c := range qres.Counts {
-		raw = append(raw, rawEstimate{code, c})
-	}
-	sort.Slice(raw, func(i, j int) bool {
-		if raw[i].count != raw[j].count {
-			return raw[i].count > raw[j].count
-		}
-		return raw[i].code.Less(raw[j].code)
-	})
-	if top > 0 && top < len(raw) {
-		raw = raw[:top]
-	}
+// renderCountResponse renders a query result with its top estimates in
+// QueryResult.Top's deterministic order, so a cached result re-renders to
+// the exact bytes its cold run produced. The Describe/format work happens
+// only for the entries actually served.
+func renderCountResponse(strategy core.Strategy, top int, qres *core.QueryResult) *CountResponse {
+	ests := qres.Top(top)
 	resp := &CountResponse{
-		K:            k,
+		K:            qres.K,
 		Strategy:     strategy.String(),
 		Samples:      qres.Samples,
 		Covered:      qres.Covered,
 		SampleTimeMs: float64(qres.SampleTime.Microseconds()) / 1000,
 		Achieved:     renderAchieved(qres.Achieved),
-		Counts:       make([]CountEstimate, 0, len(raw)),
+		Counts:       make([]CountEstimate, 0, len(ests)),
 	}
-	for _, e := range raw {
+	for _, e := range ests {
 		resp.Counts = append(resp.Counts, CountEstimate{
-			Code:        e.code.String(),
-			Description: graphlet.Describe(k, e.code),
-			Count:       e.count,
-			Frequency:   qres.Frequencies[e.code],
+			Code:        e.Code.String(),
+			Description: graphlet.Describe(qres.K, e.Code),
+			Count:       e.Count,
+			Frequency:   e.Frequency,
 		})
 	}
 	return resp
@@ -458,18 +422,13 @@ func (s *Server) handleV1Signatures(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	k, _, err := s.reg.Meta(name)
-	if err != nil {
-		s.v1Error(w, http.StatusInternalServerError, codeInternal, err.Error())
-		return
-	}
-	s.writeV1JSON(w, http.StatusOK, renderSignaturesResponse(name, k, q.Strategy, &req, sres))
+	s.writeV1JSON(w, http.StatusOK, renderSignaturesResponse(name, q.Strategy, &req, sres))
 }
 
 // renderSignaturesResponse orders nodes by descending incidence total (ties
 // by ascending id) and truncates to the requested top-m before the
 // Describe/format work runs.
-func renderSignaturesResponse(name string, k int, strategy core.Strategy, req *SignaturesRequest, sres *core.SignaturesResult) *SignaturesResponse {
+func renderSignaturesResponse(name string, strategy core.Strategy, req *SignaturesRequest, sres *core.SignaturesResult) *SignaturesResponse {
 	nodes := make([]core.NodeSignature, len(sres.Nodes))
 	copy(nodes, sres.Nodes)
 	sort.Slice(nodes, func(i, j int) bool {
@@ -487,7 +446,7 @@ func renderSignaturesResponse(name string, k int, strategy core.Strategy, req *S
 	}
 	resp := &SignaturesResponse{
 		Graph:        name,
-		K:            k,
+		K:            sres.K,
 		Strategy:     strategy.String(),
 		Samples:      sres.Samples,
 		Covered:      sres.Covered,
@@ -497,7 +456,7 @@ func renderSignaturesResponse(name string, k int, strategy core.Strategy, req *S
 		Nodes:        make([]SignatureNode, 0, len(nodes)),
 	}
 	for _, c := range sres.Motifs {
-		resp.Motifs = append(resp.Motifs, SignatureMotif{Code: c.String(), Description: graphlet.Describe(k, c)})
+		resp.Motifs = append(resp.Motifs, SignatureMotif{Code: c.String(), Description: graphlet.Describe(sres.K, c)})
 	}
 	for _, n := range nodes {
 		resp.Nodes = append(resp.Nodes, SignatureNode{Node: n.Node, Total: n.Total, Vector: n.Counts})
@@ -676,71 +635,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.WriteString(w, b.String()); err != nil {
 		s.log.Printf("serve: writing /metrics: %v", err)
 	}
-}
-
-// handleCount serves the legacy POST /count as a thin alias onto the
-// default graph: same decoding, same registry path (including the result
-// cache and admission control), historical response shape.
-func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST a JSON query to /count", Code: codeBadRequest})
-		return
-	}
-	query, req, err := decodeCountRequest(http.MaxBytesReader(w, r.Body, maxCountBody))
-	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error(), Code: codeBadRequest})
-		return
-	}
-	if !s.admit() {
-		w.Header().Set("Retry-After", "1")
-		s.writeJSON(w, http.StatusTooManyRequests, errorResponse{
-			Error: "server is at its in-flight sampling limit; retry shortly", Code: codeOverloaded})
-		return
-	}
-	defer s.release()
-	resp, _, status, code, err := s.countOn(r.Context(), s.defaultGraph, query, req)
-	if err != nil {
-		if r.Context().Err() != nil {
-			return // the client is gone; there is nobody to answer
-		}
-		s.writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleStats serves the legacy GET /stats: the default graph's engine
-// statistics plus server-wide traffic counters.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		s.writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "GET /stats", Code: codeBadRequest})
-		return
-	}
-	eng, err := s.reg.Get(r.Context(), s.defaultGraph)
-	if err != nil {
-		var unknown *registry.UnknownGraphError
-		code := codeInternal
-		status := http.StatusInternalServerError
-		if errors.As(err, &unknown) {
-			code, status = codeUnknownGraph, http.StatusNotFound
-		}
-		s.writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
-		return
-	}
-	est := eng.Stats()
-	rst := s.reg.Stats()
-	s.writeJSON(w, http.StatusOK, Stats{
-		K:            est.K,
-		Nodes:        est.Nodes,
-		Edges:        est.Edges,
-		TableBytes:   est.TableBytes,
-		OpenMs:       float64(est.OpenTime.Microseconds()) / 1000,
-		UptimeSec:    time.Since(s.started).Seconds(),
-		Queries:      rst.Queries,
-		TotalSamples: rst.Samples,
-	})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

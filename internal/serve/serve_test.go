@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/graphlet"
 	"repro/internal/registry"
 )
 
@@ -26,6 +28,9 @@ func testServer(t *testing.T) (*Server, *graph.Graph, string) {
 	}
 	return New(Config{Registry: reg}), g, path
 }
+
+// countPath is the count endpoint of the graph testServer registers.
+const countPath = "/v1/graphs/default/count"
 
 func doJSON(t *testing.T, srv *Server, method, target, body string, out any) *httptest.ResponseRecorder {
 	t.Helper()
@@ -58,12 +63,12 @@ func TestCountEndpoint(t *testing.T) {
 		{`{"strategy":"ags","samples":4000,"seed":17,"coverThreshold":200,"sampleWorkers":2}`, core.AGS},
 	} {
 		var resp CountResponse
-		w := doJSON(t, srv, http.MethodPost, "/count", tc.body, &resp)
+		w := doJSON(t, srv, http.MethodPost, countPath, tc.body, &resp)
 		if w.Code != http.StatusOK {
-			t.Fatalf("POST /count = %d: %s", w.Code, w.Body.String())
+			t.Fatalf("POST %s = %d: %s", countPath, w.Code, w.Body.String())
 		}
 		cfg := core.Config{
-			K: 4, Colorings: 1, SamplesPerColoring: 4000,
+			K: 4, Colorings: 1, Samples: 4000,
 			Strategy: tc.strat, CoverThreshold: 200, Seed: 17,
 			TablePath: path,
 		}
@@ -98,9 +103,9 @@ func TestCountEndpoint(t *testing.T) {
 func TestCountEndpointTop(t *testing.T) {
 	srv, _, _ := testServer(t)
 	var resp CountResponse
-	w := doJSON(t, srv, http.MethodPost, "/count", `{"samples":3000,"seed":5,"top":2}`, &resp)
+	w := doJSON(t, srv, http.MethodPost, countPath, `{"samples":3000,"seed":5,"top":2}`, &resp)
 	if w.Code != http.StatusOK {
-		t.Fatalf("POST /count = %d", w.Code)
+		t.Fatalf("POST %s = %d", countPath, w.Code)
 	}
 	if len(resp.Counts) != 2 {
 		t.Fatalf("top=2 served %d estimates", len(resp.Counts))
@@ -114,16 +119,38 @@ func TestCountEndpointTop(t *testing.T) {
 }
 
 // TestCountEndpointEmptyBody: every request field is optional, so an empty
-// body runs the all-defaults query instead of failing on io.EOF.
+// body runs the all-defaults query instead of failing on io.EOF — and the
+// defaults are the engine's own: the served estimates equal a zero
+// core.Query answered by the engine directly.
 func TestCountEndpointEmptyBody(t *testing.T) {
-	srv, _, _ := testServer(t)
+	srv, g, path := testServer(t)
 	var resp CountResponse
-	w := doJSON(t, srv, http.MethodPost, "/count", "", &resp)
+	w := doJSON(t, srv, http.MethodPost, countPath, "", &resp)
 	if w.Code != http.StatusOK {
-		t.Fatalf("empty-body POST /count = %d: %s", w.Code, w.Body.String())
+		t.Fatalf("empty-body POST %s = %d: %s", countPath, w.Code, w.Body.String())
 	}
 	if resp.Samples != 100000 || resp.Strategy != "naive" {
 		t.Errorf("defaults not applied: samples=%d strategy=%q", resp.Samples, resp.Strategy)
+	}
+	eng, err := core.Open(g, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.Count(context.Background(), core.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Counts) != len(want.Counts) {
+		t.Fatalf("%d estimates served, engine has %d", len(resp.Counts), len(want.Counts))
+	}
+	for _, e := range resp.Counts {
+		code, err := graphlet.ParseCode(e.Code)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Count != want.Counts[code] {
+			t.Errorf("estimate for %s: served %v, engine default query %v", e.Code, e.Count, want.Counts[code])
+		}
 	}
 }
 
@@ -142,49 +169,27 @@ func TestCountEndpointErrors(t *testing.T) {
 		{http.MethodPost, `{"unknownField":1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		w := doJSON(t, srv, tc.method, "/count", tc.body, nil)
+		w := doJSON(t, srv, tc.method, countPath, tc.body, nil)
 		if w.Code != tc.want {
-			t.Errorf("%s /count %q = %d, want %d", tc.method, tc.body, w.Code, tc.want)
+			t.Errorf("%s %s %q = %d, want %d", tc.method, countPath, tc.body, w.Code, tc.want)
 		}
 		var e errorResponse
 		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
-			t.Errorf("%s /count %q: error body not JSON: %s", tc.method, tc.body, w.Body.String())
+			t.Errorf("%s %s %q: error body not JSON: %s", tc.method, countPath, tc.body, w.Body.String())
 		}
 	}
 }
 
-// TestStatsAndHealth asserts the stats endpoint tracks traffic and reports
-// the engine's amortized open cost.
-func TestStatsAndHealth(t *testing.T) {
-	srv, g, _ := testServer(t)
-	w := doJSON(t, srv, http.MethodGet, "/healthz", "", nil)
-	if w.Code != http.StatusOK {
+// TestHealthz asserts the liveness probe answers.
+func TestHealthz(t *testing.T) {
+	srv, _, _ := testServer(t)
+	if w := doJSON(t, srv, http.MethodGet, "/healthz", "", nil); w.Code != http.StatusOK {
 		t.Fatalf("GET /healthz = %d", w.Code)
-	}
-
-	if w := doJSON(t, srv, http.MethodPost, "/count", `{"samples":2000,"seed":3}`, nil); w.Code != http.StatusOK {
-		t.Fatalf("POST /count = %d", w.Code)
-	}
-	var st Stats
-	if w := doJSON(t, srv, http.MethodGet, "/stats", "", &st); w.Code != http.StatusOK {
-		t.Fatalf("GET /stats = %d", w.Code)
-	}
-	if st.K != 4 || st.Nodes != g.NumNodes() || st.Edges != g.NumEdges() {
-		t.Errorf("stats shape: %+v", st)
-	}
-	if st.Queries != 1 || st.TotalSamples != 2000 {
-		t.Errorf("traffic counters: queries=%d samples=%d", st.Queries, st.TotalSamples)
-	}
-	if st.OpenMs <= 0 || st.TableBytes <= 0 {
-		t.Errorf("engine stats: openMs=%v tableBytes=%d", st.OpenMs, st.TableBytes)
-	}
-	if w := doJSON(t, srv, http.MethodPost, "/stats", "", nil); w.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /stats = %d, want 405", w.Code)
 	}
 }
 
 // TestCountRequestRejections is the table-driven hardening pass over the
-// /count decoder: malformed JSON, type confusion, unknown fields, and
+// count decoder: malformed JSON, type confusion, unknown fields, and
 // out-of-range values must every one answer 400 with a descriptive error,
 // and an oversize body must be cut off by the MaxBytesReader bound.
 func TestCountRequestRejections(t *testing.T) {
@@ -208,7 +213,7 @@ func TestCountRequestRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := doJSON(t, srv, http.MethodPost, "/count", tc.body, nil)
+			w := doJSON(t, srv, http.MethodPost, countPath, tc.body, nil)
 			if w.Code != http.StatusBadRequest {
 				t.Fatalf("status = %d, want 400 (body %s)", w.Code, w.Body.String())
 			}
@@ -230,7 +235,7 @@ func TestCountRequestRejections(t *testing.T) {
 func TestCountOversizeBody(t *testing.T) {
 	srv, _, _ := testServer(t)
 	pad := strings.Repeat(" ", maxCountBody+512)
-	w := doJSON(t, srv, http.MethodPost, "/count", pad+`{"samples":10}`, nil)
+	w := doJSON(t, srv, http.MethodPost, countPath, pad+`{"samples":10}`, nil)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("oversize body answered %d, want 400", w.Code)
 	}
@@ -241,7 +246,7 @@ func TestCountOversizeBody(t *testing.T) {
 func TestCountEmptyBodyDefaults(t *testing.T) {
 	srv, _, _ := testServer(t)
 	var resp CountResponse
-	w := doJSON(t, srv, http.MethodPost, "/count", "", &resp)
+	w := doJSON(t, srv, http.MethodPost, countPath, "", &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("empty body status = %d: %s", w.Code, w.Body.String())
 	}
@@ -249,7 +254,7 @@ func TestCountEmptyBodyDefaults(t *testing.T) {
 		t.Fatalf("defaults not applied on empty body: %+v", resp)
 	}
 	// Partial bodies default the missing fields only.
-	w = doJSON(t, srv, http.MethodPost, "/count", `{"samples":200}`, &resp)
+	w = doJSON(t, srv, http.MethodPost, countPath, `{"samples":200}`, &resp)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d: %s", w.Code, w.Body.String())
 	}

@@ -237,13 +237,13 @@ func TestV1Graphs(t *testing.T) {
 }
 
 // TestMaxInflight429: beyond the in-flight limit the server answers 429
-// with a Retry-After header and code "overloaded" (on v1, batch and the
-// legacy alias alike), and recovers once a slot frees up.
+// with a Retry-After header and code "overloaded" (on count and batch
+// alike), and recovers once a slot frees up.
 func TestMaxInflight429(t *testing.T) {
 	srv, _ := testV1Server(t, Config{MaxInflight: 1})
 	// Occupy the only admission slot deterministically.
 	srv.inflight <- struct{}{}
-	for _, target := range []string{"/v1/graphs/alpha/count", "/v1/batch", "/count"} {
+	for _, target := range []string{"/v1/graphs/alpha/count", "/v1/batch"} {
 		body := `{"samples":100}`
 		if target == "/v1/batch" {
 			body = `{"graph":"alpha","queries":[{"samples":100}]}`
@@ -260,11 +260,11 @@ func TestMaxInflight429(t *testing.T) {
 			t.Fatalf("%s: 429 body %s", target, w.Body.String())
 		}
 	}
-	if got := srv.rejected.Load(); got != 3 {
-		t.Fatalf("rejected counter = %d, want 3", got)
+	if got := srv.rejected.Load(); got != 2 {
+		t.Fatalf("rejected counter = %d, want 2", got)
 	}
 	metrics := doJSON(t, srv, http.MethodGet, "/metrics", "", nil)
-	if !strings.Contains(metrics.Body.String(), "motivo_rejected_total 3") {
+	if !strings.Contains(metrics.Body.String(), "motivo_rejected_total 2") {
 		t.Fatal("/metrics missing the rejection counter")
 	}
 	// Release the slot: requests flow again.

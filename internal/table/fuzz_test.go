@@ -3,8 +3,13 @@ package table
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/coloring"
+	"repro/internal/gen"
 	"repro/internal/treelet"
 	"repro/internal/u128"
 )
@@ -14,7 +19,7 @@ import (
 // pairs, canonicalized, encoded, and the packed record must decode back to
 // exactly the input and answer point queries consistently. Run with
 //
-//	go test -fuzz=Fuzz -fuzztime=10s ./internal/table
+//	go test -run='^$' -fuzz='^FuzzPackedRecordRoundTrip$' -fuzztime=10s ./internal/table
 func FuzzPackedRecordRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
@@ -92,6 +97,80 @@ func FuzzPackedRecordRoundTrip(f *testing.F) {
 		// encoding — the property table byte-identity tests lean on).
 		if !bytes.Equal(enc, AppendRecord(nil, &got)) {
 			t.Fatal("re-encoding is not byte-identical")
+		}
+	})
+}
+
+// fuzzSeedFile returns a valid table file at size k: smart (star records
+// synthesized, so only the colored-degree summaries are stored) or
+// materialized with a few stored records.
+func fuzzSeedFile(f *testing.F, k int, smart bool) []byte {
+	g := gen.ErdosRenyi(12, 30, int64(k))
+	col := coloring.Uniform(g.NumNodes(), k, 3)
+	tab := New(g.NumNodes(), k, true)
+	if smart {
+		if err := tab.EnableSmartStars(g, col); err != nil {
+			f.Fatal(err)
+		}
+	} else {
+		var p Pairs
+		for v := int32(0); int(v) < tab.N; v++ {
+			p.Reset()
+			p.Append(treelet.MakeColored(treelet.Leaf, treelet.Singleton(col.Colors[v])), u128.One)
+			tab.SetRec(1, v, &p)
+		}
+		p.Reset()
+		p.Append(treelet.MakeColored(treelet.Star(2), 0b11), u128.From64(3))
+		tab.SetRec(2, 0, &p)
+	}
+	var buf bytes.Buffer
+	if _, err := Save(&buf, tab, col); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzTableFile drives arbitrary bytes through both open paths: heap Load
+// and OpenMapped followed by Verify (the mapped path defers level checks
+// to first touch; Verify forces them). Neither may panic, and they must
+// agree: both fail, or both return the same table and coloring —
+// compared through Save, which writes every field of both. Run with
+//
+//	go test -run='^$' -fuzz='^FuzzTableFile$' -fuzztime=10s ./internal/table
+func FuzzTableFile(f *testing.F) {
+	for k := 2; k <= 5; k++ {
+		f.Add(fuzzSeedFile(f, k, true))
+		f.Add(fuzzSeedFile(f, k, false))
+	}
+	retired := fuzzSeedFile(f, 4, false)
+	binary.LittleEndian.PutUint32(retired[0:], fileMagicV3)
+	binary.LittleEndian.PutUint32(retired[4:], 3)
+	f.Add(retired)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		htab, hcol, herr := Load(bytes.NewReader(data))
+		path := filepath.Join(t.TempDir(), "fuzz.tbl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		mtab, mcol, merr := OpenMapped(path)
+		if errors.Is(merr, ErrNotMappable) {
+			return // too short to map, or no mmap here: only the heap path applies
+		}
+		if merr == nil {
+			defer mtab.Close()
+			merr = mtab.Verify()
+		}
+		if (herr == nil) != (merr == nil) {
+			t.Fatalf("open paths disagree: heap %v, mapped %v", herr, merr)
+		}
+		if herr != nil {
+			return
+		}
+		var hb, mb bytes.Buffer
+		_, herr = Save(&hb, htab, hcol)
+		_, merr = Save(&mb, mtab, mcol)
+		if (herr == nil) != (merr == nil) || !bytes.Equal(hb.Bytes(), mb.Bytes()) {
+			t.Fatalf("heap and mapped tables differ (save errors: heap %v, mapped %v)", herr, merr)
 		}
 	})
 }

@@ -23,11 +23,11 @@ func statSize(path string) (int64, error) {
 }
 
 // ErrNotMappable reports that a file cannot be served through OpenMapped
-// but is (or may be) loadable through LoadFile: a pre-v4 format version,
-// a platform without mmap, or a big-endian host. Callers that prefer
-// mapping should errors.Is on it and fall back to the heap path
-// (core.Open does exactly that). It never wraps corruption — a damaged
-// v4 file is a hard error on both paths.
+// but may be loadable through LoadFile: a platform without mmap, or a
+// big-endian host. Callers that prefer mapping should errors.Is on it and
+// fall back to the heap path (core.Open does exactly that). It never
+// wraps a bad file — a damaged or retired-format file is a hard error on
+// both paths.
 var ErrNotMappable = errors.New("table: file not mappable")
 
 // hostLittleEndian reports whether this host matches the on-disk byte
@@ -69,7 +69,7 @@ type levelVerify struct {
 	sum  uint32
 }
 
-// OpenMapped opens a version-4 table file by mapping it read-only:
+// OpenMapped opens a table file by mapping it read-only:
 // per-level arenas and offset indexes point directly into the mapping —
 // zero copy, so the open reads only the header, level directory, and the
 // O(n) meta region, and its cost is independent of arena size. The table
@@ -79,9 +79,9 @@ type levelVerify struct {
 // Validation is lazy: the meta region is checked at open, each level is
 // checked once on first touch (checksum over its mapped span, then the
 // same record walk LoadFile runs), and Verify forces every deferred
-// check. A pre-v4 file, a platform without mmap, or a big-endian host
-// returns an error wrapping ErrNotMappable — retry with LoadFile; a
-// corrupt v4 file is a hard error.
+// check. A platform without mmap or a big-endian host returns an error
+// wrapping ErrNotMappable — retry with LoadFile; a corrupt file is a hard
+// error.
 //
 // Close the table to release the mapping deterministically; otherwise a
 // finalizer releases it when the table becomes unreachable.
@@ -96,15 +96,6 @@ func OpenMapped(path string) (*Table, *coloring.Coloring, error) {
 	unmap := func() {
 		// The table was never built, so nothing aliases data.
 		_ = munmapFile(data)
-	}
-	if len(data) >= 8 {
-		magic := uint32(data[0]) | uint32(data[1])<<8 | uint32(data[2])<<16 | uint32(data[3])<<24
-		version := uint32(data[4]) // read before unmap
-		if magic == fileMagicV2 || magic == fileMagicV3 {
-			unmap()
-			return nil, nil, fmt.Errorf("%w: format version %d predates checksums (rewrite with `motivo build` to enable mapping)",
-				ErrNotMappable, version)
-		}
 	}
 	p, err := parseV4(data)
 	if err != nil {

@@ -117,25 +117,6 @@ func TestOpenMappedSmartTable(t *testing.T) {
 	}
 }
 
-func TestOpenMappedRejectsLegacyFormats(t *testing.T) {
-	tab := testTable(t)
-	col := coloring.Uniform(tab.N, tab.K, 7)
-	path := t.TempDir() + "/v3.tbl"
-	if _, err := SaveFileV3(path, tab, col); err != nil {
-		t.Fatal(err)
-	}
-	_, _, err := OpenMapped(path)
-	if !errors.Is(err, ErrNotMappable) {
-		t.Fatalf("v3 file on the mapped path: %v (want ErrNotMappable)", err)
-	}
-	// The advertised fallback must actually work.
-	got, _, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTables(t, tab, got)
-}
-
 func TestMappedTableIsReadOnly(t *testing.T) {
 	tab := testTable(t)
 	path := t.TempDir() + "/ro.tbl"

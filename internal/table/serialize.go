@@ -63,14 +63,13 @@ import (
 // table with the wrong graph fails at open, not as silently wrong
 // counts.
 //
-// Version 3 ("MvT3") files — no checksums, no directory, no alignment,
-// sections streamed back-to-back — and version 2 ("MvT2", additionally
-// predating smart stars) still load via the heap path; SaveV3 still
-// writes version 3 for downgrade scenarios.
+// Files in the retired versions 2 and 3 ("MvT2", "MvT3") are recognized
+// by their magic only, so opening one fails with an error that names the
+// version and says to rebuild the table.
 
 const (
-	fileMagicV2 = uint32(0x4d765432) // "MvT2"
-	fileMagicV3 = uint32(0x4d765433) // "MvT3"
+	fileMagicV2 = uint32(0x4d765432) // "MvT2", retired
+	fileMagicV3 = uint32(0x4d765433) // "MvT3", retired
 	fileMagicV4 = uint32(0x4d765434) // "MvT4"
 	fileVersion = uint32(4)
 
@@ -95,17 +94,6 @@ func (t *Table) storedSizeMin() int {
 	return 1
 }
 
-// checkSaveable validates the (table, coloring) pair both writers share.
-func checkSaveable(t *Table, col *coloring.Coloring) error {
-	if col != nil && len(col.Colors) != t.N {
-		return fmt.Errorf("table: coloring covers %d nodes, table has %d", len(col.Colors), t.N)
-	}
-	if t.smart != nil && col == nil {
-		return fmt.Errorf("table: a smart table must be saved with its coloring")
-	}
-	return nil
-}
-
 // saveFlags computes the format flag word for t saved with col.
 func saveFlags(t *Table, col *coloring.Coloring) uint32 {
 	flags := uint32(0)
@@ -122,8 +110,7 @@ func saveFlags(t *Table, col *coloring.Coloring) uint32 {
 }
 
 // metaRegion encodes the coloring and smart-degree sections into one byte
-// string — the v4 meta region (and, section by section, the exact bytes
-// the v3 writer streams).
+// string — the v4 meta region.
 func metaRegion(t *Table, col *coloring.Coloring) []byte {
 	var meta []byte
 	if col != nil {
@@ -146,8 +133,11 @@ func metaRegion(t *Table, col *coloring.Coloring) []byte {
 // own, so Save computes all sums in an in-memory pre-pass (w need not
 // seek) before streaming the sections out.
 func Save(w io.Writer, t *Table, col *coloring.Coloring) (int64, error) {
-	if err := checkSaveable(t, col); err != nil {
-		return 0, err
+	if col != nil && len(col.Colors) != t.N {
+		return 0, fmt.Errorf("table: coloring covers %d nodes, table has %d", len(col.Colors), t.N)
+	}
+	if t.smart != nil && col == nil {
+		return 0, fmt.Errorf("table: a smart table must be saved with its coloring")
 	}
 	storedMin := t.storedSizeMin()
 	// A smart table with k below the smallest stored size is fully
@@ -235,51 +225,6 @@ func Save(w io.Writer, t *Table, col *coloring.Coloring) (int64, error) {
 	return total, bw.Flush()
 }
 
-// SaveV3 serializes the table in the previous format version 3 — no
-// checksums, no directory, no alignment — for downgrade scenarios and for
-// exercising the legacy load path. New tables should use Save.
-func SaveV3(w io.Writer, t *Table, col *coloring.Coloring) (int64, error) {
-	if err := checkSaveable(t, col); err != nil {
-		return 0, err
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var n int64
-	write := func(data any) error {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			return err
-		}
-		n += int64(binary.Size(data))
-		return nil
-	}
-	for _, v := range []uint32{fileMagicV3, 3, uint32(t.K), saveFlags(t, col)} {
-		if err := write(v); err != nil {
-			return n, err
-		}
-	}
-	if err := write(uint64(t.N)); err != nil {
-		return n, err
-	}
-	if meta := metaRegion(t, col); len(meta) > 0 {
-		if _, err := bw.Write(meta); err != nil {
-			return n, err
-		}
-		n += int64(len(meta))
-	}
-	for h := t.storedSizeMin(); h <= t.K; h++ {
-		lv := &t.levels[h]
-		if err := write(uint64(len(lv.arena))); err != nil {
-			return n, err
-		}
-		if err := write(lv.starts); err != nil {
-			return n, err
-		}
-		if err := write(lv.arena); err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
 // WriteTo serializes the table without a coloring section. It returns the
 // number of bytes written.
 func (t *Table) WriteTo(w io.Writer) (int64, error) { return Save(w, t, nil) }
@@ -295,30 +240,18 @@ const maxLoadNodes = 1<<31 - 1
 // before), and must fail fast instead of attempting the allocation.
 const maxArena = 1 << 40 // 1 TiB per level
 
-// Load deserializes a table written by Save — format version 4, or the
-// earlier versions 3 and 2. The returned coloring is nil when the file
-// carries none. Every record is validated entry-by-entry (and, for v4,
-// the whole-file checksum is verified), so corruption surfaces here
-// instead of as a panic mid-query. A loaded smart table must have its
-// host graph bound with AttachGraph before it can serve views.
+// Load deserializes a table written by Save. The returned coloring is nil
+// when the file carries none. The whole-file checksum is verified and
+// every record is validated entry-by-entry, so corruption surfaces here
+// instead of as a panic mid-query. The returned table's arenas alias one
+// buffer holding the file (no per-level copies); offset indexes are
+// decoded into fresh slices. A loaded smart table must have its host
+// graph bound with AttachGraph before it can serve views.
 func Load(r io.Reader) (*Table, *coloring.Coloring, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	if head, _ := br.Peek(4); len(head) == 4 && binary.LittleEndian.Uint32(head) == fileMagicV4 {
-		buf, err := io.ReadAll(br)
-		if err != nil {
-			return nil, nil, fmt.Errorf("table: reading v4 file: %w", err)
-		}
-		return loadV4(buf)
+	buf, err := io.ReadAll(r)
+	if err != nil {
+		return nil, nil, fmt.Errorf("table: reading table file: %w", err)
 	}
-	return loadLegacy(br)
-}
-
-// loadV4 deserializes a version-4 file from its complete byte image:
-// whole-file checksum first, then the layout parse, then the same
-// entry-by-entry validation the legacy loader runs. The returned table's
-// arenas alias buf (one buffer keeps every level, no per-level copies);
-// offset indexes are decoded into fresh slices.
-func loadV4(buf []byte) (*Table, *coloring.Coloring, error) {
 	p, err := parseV4(buf)
 	if err != nil {
 		return nil, nil, err
@@ -368,6 +301,12 @@ type v4Level struct {
 // never the level payloads — which is what keeps a mapped open
 // independent of arena size.
 func parseV4(buf []byte) (*v4File, error) {
+	if len(buf) >= 8 {
+		if magic := binary.LittleEndian.Uint32(buf); magic == fileMagicV2 || magic == fileMagicV3 {
+			return nil, fmt.Errorf("table: format version %d is no longer supported; rebuild the table with `motivo build`",
+				binary.LittleEndian.Uint32(buf[4:]))
+		}
+	}
 	if len(buf) < headerSize {
 		return nil, fmt.Errorf("table: truncated header: %d bytes", len(buf))
 	}
@@ -397,7 +336,7 @@ func parseV4(buf []byte) (*v4File, error) {
 	nLevels := max(p.k-p.storedMin+1, 0)
 	dirEnd := uint64(headerSize + nLevels*dirEntrySize)
 	metaEnd := dirEnd + metaLen
-	if metaEnd > uint64(len(buf)) {
+	if metaLen > uint64(len(buf)) || metaEnd > uint64(len(buf)) {
 		return nil, fmt.Errorf("table: truncated file: directory + meta region need %d bytes, have %d", metaEnd, len(buf))
 	}
 	p.meta = buf[dirEnd:metaEnd]
@@ -421,7 +360,7 @@ func parseV4(buf []byte) (*v4File, error) {
 		if lv.startsOff%8 != 0 {
 			return nil, fmt.Errorf("table: level %d offset index at unaligned offset %d", h, lv.startsOff)
 		}
-		if lv.startsOff < pos || lv.arenaOff != lv.startsOff+8*uint64(p.n) {
+		if lv.startsOff < pos || lv.startsOff > uint64(len(buf)) || lv.arenaOff != lv.startsOff+8*uint64(p.n) {
 			return nil, fmt.Errorf("table: level %d directory entry out of order", h)
 		}
 		end := lv.arenaOff + lv.arenaLen
@@ -441,7 +380,9 @@ func parseV4(buf []byte) (*v4File, error) {
 // into the mapping zero-copy, and per-level verification state is
 // installed for the lazy first-touch checks.
 func buildFromV4(buf []byte, p *v4File, ms *mappedState) (*Table, *coloring.Coloring, error) {
-	t := New(p.n, p.k, p.flags&flagZeroRooted != 0)
+	// Every level either comes from the directory or is synthesized, so
+	// no empty offset indexes are allocated (New would fill k·n of them).
+	t := &Table{K: p.k, N: p.n, ZeroRooted: p.flags&flagZeroRooted != 0, levels: make([]level, p.k+1)}
 	col, rest, err := decodeMeta(p.meta, p.n, p.k, p.flags)
 	if err != nil {
 		return nil, nil, err
@@ -452,9 +393,6 @@ func buildFromV4(buf []byte, p *v4File, ms *mappedState) (*Table, *coloring.Colo
 			return nil, nil, err
 		}
 		t.setSmartFromFile(col.Colors, deg)
-		for h := 1; h < p.storedMin; h++ {
-			t.levels[h] = level{}
-		}
 	}
 	for i, lv := range p.levels {
 		h := p.storedMin + i
@@ -536,102 +474,6 @@ func decodeSmartDegrees(b []byte, n, k int) ([]uint32, error) {
 	return deg, nil
 }
 
-// loadLegacy deserializes format versions 3 and 2 — the streaming reader
-// the pre-checksum formats use.
-func loadLegacy(br *bufio.Reader) (*Table, *coloring.Coloring, error) {
-	read := func(data any) error { return binary.Read(br, binary.LittleEndian, data) }
-	var magic, version, k32, flags uint32
-	for _, p := range []*uint32{&magic, &version, &k32, &flags} {
-		if err := read(p); err != nil {
-			return nil, nil, fmt.Errorf("table: truncated header: %w", err)
-		}
-	}
-	switch {
-	case magic == fileMagicV3 && version == 3:
-	case magic == fileMagicV2 && version == 2:
-		if flags&flagSmartStars != 0 {
-			return nil, nil, fmt.Errorf("table: version-2 file declares smart stars")
-		}
-	default:
-		return nil, nil, fmt.Errorf("table: bad magic/version %#x/%d (want %#x/4, %#x/3 or %#x/2)",
-			magic, version, fileMagicV4, fileMagicV3, fileMagicV2)
-	}
-	var n64 uint64
-	if err := read(&n64); err != nil {
-		return nil, nil, err
-	}
-	k := int(k32)
-	if k < 1 || k > treelet.MaxK || n64 > maxLoadNodes {
-		return nil, nil, fmt.Errorf("table: implausible header k=%d n=%d", k, n64)
-	}
-	n := int(n64)
-	t := New(n, k, flags&flagZeroRooted != 0)
-	var col *coloring.Coloring
-	if flags&flagHasColoring != 0 {
-		var pbits uint64
-		if err := read(&pbits); err != nil {
-			return nil, nil, fmt.Errorf("table: coloring section: %w", err)
-		}
-		col = &coloring.Coloring{
-			K:         k,
-			Colors:    make([]uint8, n),
-			PColorful: math.Float64frombits(pbits),
-		}
-		if err := read(col.Colors); err != nil {
-			return nil, nil, fmt.Errorf("table: coloring section: %w", err)
-		}
-		for v, c := range col.Colors {
-			if int(c) >= k {
-				return nil, nil, fmt.Errorf("table: node %d has color %d ≥ k=%d", v, c, k)
-			}
-		}
-	}
-	if flags&flagSmartStars != 0 {
-		if col == nil {
-			return nil, nil, fmt.Errorf("table: smart-star table carries no coloring section")
-		}
-		deg := make([]uint32, n*k)
-		for i := range deg {
-			d, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, nil, fmt.Errorf("table: smart-star degree section: %w", err)
-			}
-			if d >= uint64(n) {
-				return nil, nil, fmt.Errorf("table: implausible colored degree %d (n=%d)", d, n)
-			}
-			deg[i] = uint32(d)
-		}
-		t.setSmartFromFile(col.Colors, deg)
-	}
-	for h := t.storedSizeMin(); h <= k; h++ {
-		var alen uint64
-		if err := read(&alen); err != nil {
-			return nil, nil, fmt.Errorf("table: level %d header: %w", h, err)
-		}
-		if alen > maxArena {
-			return nil, nil, fmt.Errorf("table: implausible level %d arena size %d", h, alen)
-		}
-		starts := make([]int64, n)
-		if err := read(starts); err != nil {
-			return nil, nil, fmt.Errorf("table: level %d offset index: %w", h, err)
-		}
-		arena := make([]byte, alen)
-		if _, err := io.ReadFull(br, arena); err != nil {
-			return nil, nil, fmt.Errorf("table: level %d arena: %w", h, err)
-		}
-		for v, off := range starts {
-			if off < -1 || off > int64(alen) {
-				return nil, nil, fmt.Errorf("table: level %d record %d offset %d out of range", h, v, off)
-			}
-		}
-		t.levels[h] = level{arena: arena, starts: starts}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, nil, err
-	}
-	return t, col, nil
-}
-
 // ReadTable deserializes just the table, discarding any coloring section.
 func ReadTable(r io.Reader) (*Table, error) {
 	t, _, err := Load(r)
@@ -653,23 +495,9 @@ func SaveFile(path string, t *Table, col *coloring.Coloring) (int64, error) {
 	return n, err
 }
 
-// SaveFileV3 is SaveFile in the legacy format version 3 (`motivo build
-// -format 3`): readable by older binaries, heap-open only.
-func SaveFileV3(path string, t *Table, col *coloring.Coloring) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := SaveV3(f, t, col)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return n, err
-}
-
 // LoadFile opens a table written by SaveFile into heap memory, validating
 // eagerly — every byte is read and checked before the first query. For
-// large MvT4 tables OpenMapped serves the same file zero-copy in O(ms).
+// large tables OpenMapped serves the same file zero-copy in O(ms).
 func LoadFile(path string) (*Table, *coloring.Coloring, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -121,33 +121,6 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 }
 
-// TestSaveV3RoundTrip pins downgrade compatibility: the legacy writer
-// still produces loadable MvT3 files, and the heap loader reads them back
-// entry-identical — old tables (and tables written for old readers) keep
-// working without the v4 checksums or directory.
-func TestSaveV3RoundTrip(t *testing.T) {
-	tab := testTable(t)
-	col := coloring.Uniform(tab.N, tab.K, 42)
-	var buf bytes.Buffer
-	if _, err := SaveV3(&buf, tab, col); err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.LittleEndian.Uint32(buf.Bytes()); got != fileMagicV3 {
-		t.Fatalf("SaveV3 wrote magic %#x, want %#x", got, fileMagicV3)
-	}
-	got, gotCol, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTables(t, tab, got)
-	if gotCol == nil || !bytes.Equal(gotCol.Colors, col.Colors) || gotCol.PColorful != col.PColorful {
-		t.Error("coloring lost through the v3 round trip")
-	}
-	if got.Mapped() {
-		t.Error("a v3 load must not report a mapping")
-	}
-}
-
 func TestReadTableRejectsGarbage(t *testing.T) {
 	if _, err := ReadTable(bytes.NewReader(make([]byte, 64))); err == nil {
 		t.Error("bad magic must fail")
@@ -196,11 +169,8 @@ func TestReadTableRejectsGarbage(t *testing.T) {
 func TestOpenErrorSurface(t *testing.T) {
 	tab := testTable(t) // k=3, materialized: three dir entries at 48/80/112
 	col := coloring.Uniform(tab.N, tab.K, 5)
-	var v4, v3 bytes.Buffer
+	var v4 bytes.Buffer
 	if _, err := Save(&v4, tab, col); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SaveV3(&v3, tab, col); err != nil {
 		t.Fatal(err)
 	}
 	metaOff := headerSize + 3*dirEntrySize // first meta byte (PColorful bits)
@@ -241,7 +211,7 @@ func TestOpenErrorSurface(t *testing.T) {
 		mappedLazy        bool
 	}{
 		{name: "truncated-header", data: func() []byte { return v4.Bytes()[:32] },
-			mappedNotMappable: true}, // below 48 bytes it could be a tiny legacy file
+			mappedNotMappable: true}, // below 48 bytes the mapping is not even attempted
 		{name: "truncated-arena", data: func() []byte { return v4.Bytes()[:v4.Len()-3] }},
 		{name: "bad-magic", data: mutate(v4.Bytes(), func(d []byte) { d[0] ^= 0xFF })},
 		{name: "bad-version", data: mutate(v4.Bytes(), func(d []byte) { d[4] = 9 })},
@@ -259,8 +229,10 @@ func TestOpenErrorSurface(t *testing.T) {
 		{name: "corrupt-arena-payload", data: mutate(v4.Bytes(), func(d []byte) {
 			d[v4.Len()-1] ^= 0x40 // last arena byte, level k
 		}), mappedLazy: true},
-		{name: "legacy-v3-file", data: func() []byte { return v3.Bytes() },
-			heapOK: true, mappedNotMappable: true},
+		{name: "legacy-v3-file", data: mutate(v4.Bytes(), func(d []byte) {
+			binary.LittleEndian.PutUint32(d[0:], fileMagicV3) // retired: no loader left
+			binary.LittleEndian.PutUint32(d[4:], 3)
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,10 +1,7 @@
 package table
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
-	"math"
 	"strings"
 	"testing"
 
@@ -14,92 +11,6 @@ import (
 	"repro/internal/treelet"
 	"repro/internal/u128"
 )
-
-// saveV2 writes t in the retired version-2 layout ("MvT2": no smart-star
-// flag or section, levels always 1..k) so Load's backward-compatibility
-// path is exercised against bytes produced by the documented old format.
-func saveV2(t *testing.T, tab *Table, col *coloring.Coloring) []byte {
-	t.Helper()
-	if tab.smart != nil {
-		t.Fatal("saveV2 is for materialized tables")
-	}
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	write := func(data any) {
-		if err := binary.Write(bw, binary.LittleEndian, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flags := uint32(0)
-	if tab.ZeroRooted {
-		flags |= flagZeroRooted
-	}
-	if col != nil {
-		flags |= flagHasColoring
-	}
-	for _, v := range []uint32{fileMagicV2, 2, uint32(tab.K), flags} {
-		write(v)
-	}
-	write(uint64(tab.N))
-	if col != nil {
-		write(math.Float64bits(col.PColorful))
-		write(col.Colors)
-	}
-	for h := 1; h <= tab.K; h++ {
-		write(uint64(len(tab.levels[h].arena)))
-		write(tab.levels[h].starts)
-		write(tab.levels[h].arena)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// smallMaterialized builds a tiny hand-stored materialized table.
-func smallMaterialized(t *testing.T) (*Table, *coloring.Coloring) {
-	t.Helper()
-	tab := New(4, 2, false)
-	var p Pairs
-	for v := int32(0); v < 4; v++ {
-		p.Reset()
-		p.Append(treelet.MakeColored(treelet.Leaf, treelet.Singleton(uint8(v%2))), u128.One)
-		tab.SetRec(1, v, &p)
-	}
-	edge := treelet.Star(2)
-	p.Reset()
-	p.Append(treelet.MakeColored(edge, 0b11), u128.From64(3))
-	tab.SetRec(2, 0, &p)
-	col := &coloring.Coloring{K: 2, Colors: []uint8{0, 1, 0, 1}, PColorful: 0.5}
-	return tab, col
-}
-
-func TestMvT2FileStillOpens(t *testing.T) {
-	tab, col := smallMaterialized(t)
-	raw := saveV2(t, tab, col)
-	got, gotCol, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("loading a version-2 file: %v", err)
-	}
-	if got.SmartStars() {
-		t.Fatal("version-2 file loaded as a smart table")
-	}
-	if gotCol == nil || gotCol.PColorful != col.PColorful || !bytes.Equal(gotCol.Colors, col.Colors) {
-		t.Fatal("coloring section lost through the v2 path")
-	}
-	if got.K != tab.K || got.N != tab.N || got.Pairs() != tab.Pairs() {
-		t.Fatal("v2 table shape mismatch")
-	}
-	if got.Rec(2, 0).Count(treelet.MakeColored(treelet.Star(2), 0b11)) != u128.From64(3) {
-		t.Fatal("v2 record content lost")
-	}
-	// A v2 file claiming smart stars is corrupt by definition.
-	bad := saveV2(t, tab, col)
-	bad[12] |= flagSmartStars
-	if _, _, err := Load(bytes.NewReader(bad)); err == nil {
-		t.Fatal("version-2 file with the smart-star flag must be rejected")
-	}
-}
 
 // smartFixture builds a smart table over a real graph with one stored
 // (height-3) record, exercising the stored/synthesized merge.

@@ -26,7 +26,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -123,8 +122,8 @@ const (
 type MapMode = core.MapMode
 
 const (
-	// MapAuto (the default) maps MvT4 table files and falls back to heap
-	// loading where mapping is unavailable (older formats, non-unix).
+	// MapAuto (the default) maps table files and falls back to heap
+	// loading where mapping is unavailable (non-unix platforms).
 	MapAuto = core.MapAuto
 	// MapOff always heap-loads, validating the whole file eagerly.
 	MapOff = core.MapOff
@@ -132,146 +131,25 @@ const (
 	MapRequire = core.MapRequire
 )
 
-// Options configures Count. The zero value is completed with sensible
-// defaults: K=4, one coloring, 100k samples, naive strategy.
-type Options struct {
-	// K is the graphlet size (2..MaxK). Default 4.
-	K int
-	// Colorings is the number of independent colorings averaged (γ).
-	// Default 1.
-	Colorings int
-	// Samples is the per-coloring sampling budget. Default 100000.
-	Samples int
-	// Strategy selects Naive or AGS. Default Naive.
-	Strategy Strategy
-	// CoverThreshold is AGS's covering threshold c̄. Default 1000.
-	CoverThreshold int
-	// Lambda, when > 0, enables biased coloring with this λ (trades
-	// accuracy for table size on large graphs).
-	Lambda float64
-	// Seed makes runs reproducible. Default 1.
-	Seed int64
-	// Workers bounds build-phase parallelism; 0 = GOMAXPROCS.
-	Workers int
-	// SampleWorkers parallelizes the sampling phase across urn clones:
-	// naive sampling fans the budget out, AGS samples in epochs (per-worker
-	// batches merged at barriers, where cover detection and the adaptive
-	// shape switch run). ≤ 1 samples sequentially. Runs are deterministic
-	// for a fixed Seed and SampleWorkers value.
-	SampleWorkers int
-	// Spill streams the count table through temp files (greedy flushing).
-	Spill bool
-	// MemBudget, when > 0, runs the build-up phase in bounded-memory mode:
-	// each level is computed in vertex-range shards pulled from a shared
-	// work-stealing queue, completed records stream to per-shard spill
-	// files, and the level is externally merged into its final arena — so
-	// the transient build footprint is bounded by the budget plus the table
-	// itself, instead of scaling with whole in-flight levels. The resulting
-	// table is bit-identical to an unbounded build at any worker count.
-	MemBudget int64
-	// MaterializeStars disables smart-star synthesis (on by default):
-	// star-family treelet records are computed by the DP and stored instead
-	// of being synthesized on demand from colored-degree summaries.
-	// Estimates and sampled draw sequences are bit-identical either way at
-	// equal seed; materializing costs build time and table bytes and exists
-	// for comparison and debugging.
-	MaterializeStars bool
-	// TablePath, when set, makes Count skip the build-up phase and open a
-	// count table persisted by BuildTable (or `motivo build -o`) instead —
-	// the build-once / query-many serving mode. Requires Colorings ≤ 1 and
-	// K matching the saved table; Lambda must be unset (the saved coloring
-	// is used). A Count at seed s over a table saved by BuildTable at seed
-	// s yields bit-identical estimates to a fully in-memory run.
-	TablePath string
-	// MapTable selects how TablePath is opened (MapAuto, MapOff,
-	// MapRequire). Estimates are bit-identical across modes; mapping
-	// changes only open time and memory residency.
-	MapTable MapMode
-
-	// Epsilon and Delta, when set, switch the run into run-to-precision
-	// mode: instead of a fixed budget, sampling continues until every
-	// tallied motif's estimate (or TargetMotif's alone) is certified within
-	// relative error Epsilon at confidence 1-Delta by the paper's Theorem 3
-	// bound. Requires the AGS strategy and a single coloring; mutually
-	// exclusive with Samples. The certificate comes back in
-	// Result.Achieved.
-	Epsilon float64
-	Delta   float64
-	// TargetMotif, when non-zero, is the single canonical graphlet code the
-	// precision certificate must cover (rare-motif workloads certify their
-	// motif of interest orders of magnitude sooner than the full
-	// distribution). Zero certifies every tallied motif.
-	TargetMotif Code
-	// MaxSamples caps a run-to-precision run's draws (0 = the engine's
-	// default cap). Result.Achieved.Met reports whether Epsilon was reached
-	// within the cap.
-	MaxSamples int
-}
-
-// precisionMode reports whether any run-to-precision field is set.
-func (o Options) precisionMode() bool {
-	return o.Epsilon != 0 || o.Delta != 0 || o.TargetMotif != (Code{}) || o.MaxSamples != 0
-}
+// Options configures Count, Signatures and BuildTable. The zero value is
+// completed with sensible defaults: K=4, one coloring, 100k samples, naive
+// strategy, seed 1. See core.Config for every field.
+type Options = core.Config
 
 // Estimate is one graphlet's estimated occurrence count and relative
-// frequency.
-type Estimate struct {
-	Code      Code
-	Count     float64
-	Frequency float64
-}
+// frequency (see Result.Top).
+type Estimate = core.Estimate
 
-// Result is the outcome of a Count run or an Engine query.
-type Result struct {
-	// K is the graphlet size counted.
-	K int
-	// Counts estimates induced occurrences per canonical graphlet code.
-	Counts Counts
-	// Samples is the total number of samples drawn.
-	Samples int
-	// BuildTime and SampleTime are the aggregate phase durations.
-	BuildTime  time.Duration
-	SampleTime time.Duration
-	// OpenTime is the table open + engine construction cost of a TablePath
-	// run — reported separately because opening a persisted table is not a
-	// build. Zero for in-memory runs and for Engine queries (an engine
-	// pays its open cost once; see Engine.OpenTime).
-	OpenTime time.Duration
-	// TableBytes is the compact count-table payload size.
-	TableBytes int64
-	// Covered is the number of AGS-covered graphlets (0 under Naive). In
-	// a multi-coloring run it reports the last coloring only, not a sum.
-	Covered int
-	// Achieved is the precision certificate of a run-to-precision run (nil
-	// for fixed-budget runs).
-	Achieved *Certificate
-}
+// Result is the outcome of a Count run or an Engine or Registry query:
+// per-graphlet estimates and frequencies, the draws made, and the phase
+// timings. See core.QueryResult for every field.
+type Result = core.QueryResult
 
 // Certificate is the precision certificate returned by a run-to-precision
 // run: the certified relative error Eps (possibly +Inf when nothing was
 // certifiable) at confidence 1-Delta after Samples draws, and whether the
 // requested epsilon was Met within the sample cap.
 type Certificate = core.Certificate
-
-// Top returns the n graphlets with the largest estimated counts (all of
-// them if n ≤ 0 or exceeds the support).
-func (r *Result) Top(n int) []Estimate {
-	freq := estimate.Frequencies(r.Counts)
-	out := make([]Estimate, 0, len(r.Counts))
-	for code, c := range r.Counts {
-		out = append(out, Estimate{Code: code, Count: c, Frequency: freq[code]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Code.Less(out[j].Code)
-	})
-	if n > 0 && n < len(out) {
-		out = out[:n]
-	}
-	return out
-}
 
 // Count estimates the induced occurrences of every connected K-node
 // graphlet in g.
@@ -283,59 +161,7 @@ func Count(g *Graph, opts Options) (*Result, error) {
 // sampling loops check ctx periodically, so a deadline or cancellation
 // stops the run promptly with ctx.Err().
 func CountContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	if opts.K == 0 {
-		opts.K = 4
-	}
-	if opts.Colorings == 0 {
-		opts.Colorings = 1
-	}
-	if opts.Samples == 0 && !opts.precisionMode() {
-		opts.Samples = 100000
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	res, err := core.CountContext(ctx, g, coreConfig(opts))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		K:          opts.K,
-		Counts:     res.Counts,
-		Samples:    res.Samples,
-		BuildTime:  res.BuildTime,
-		SampleTime: res.SampleTime,
-		OpenTime:   res.OpenTime,
-		TableBytes: res.TableBytes,
-		Covered:    res.Covered,
-		Achieved:   res.Achieved,
-	}, nil
-}
-
-// coreConfig maps completed Options onto the pipeline config — one
-// translation shared by Count and BuildTable so both apply identical
-// defaulting and a saved table replays exactly.
-func coreConfig(opts Options) core.Config {
-	return core.Config{
-		K:                  opts.K,
-		Colorings:          opts.Colorings,
-		SamplesPerColoring: opts.Samples,
-		Strategy:           opts.Strategy,
-		CoverThreshold:     opts.CoverThreshold,
-		BiasedLambda:       opts.Lambda,
-		Seed:               opts.Seed,
-		Workers:            opts.Workers,
-		SampleWorkers:      opts.SampleWorkers,
-		Spill:              opts.Spill,
-		MemBudget:          opts.MemBudget,
-		MaterializeStars:   opts.MaterializeStars,
-		TablePath:          opts.TablePath,
-		MapTable:           opts.MapTable,
-		Epsilon:            opts.Epsilon,
-		Delta:              opts.Delta,
-		TargetMotif:        opts.TargetMotif,
-		MaxSamples:         opts.MaxSamples,
-	}
+	return core.CountContext(ctx, g, opts)
 }
 
 // TableInfo reports what BuildTable did.
@@ -363,13 +189,7 @@ func BuildTable(g *Graph, opts Options, path string) (*TableInfo, error) {
 // BuildTableContext is BuildTable honoring a context: a canceled or
 // expired ctx stops the build-up phase promptly.
 func BuildTableContext(ctx context.Context, g *Graph, opts Options, path string) (*TableInfo, error) {
-	if opts.K == 0 {
-		opts.K = 4
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	stats, fileBytes, err := core.BuildTableContext(ctx, g, coreConfig(opts), path)
+	stats, fileBytes, err := core.BuildTableContext(ctx, g, opts, path)
 	if err != nil {
 		return nil, err
 	}
@@ -392,123 +212,28 @@ func BuildTableContext(ctx context.Context, g *Graph, opts Options, path string)
 //	eng, err := motivo.Open(g, "graph.tbl")
 //	if err != nil { ... }
 //	res, err := eng.Count(ctx, motivo.Query{Strategy: motivo.AGS, Samples: 50000, Seed: 7})
-type Engine struct {
-	eng *core.Engine
-}
+type Engine = core.Engine
 
 // Open loads a count table persisted by BuildTable (or `motivo build -o`)
 // and prepares a query engine over it. The per-query cost of the one-shot
 // TablePath path — file open, validation, urn construction — is paid here
-// exactly once. MvT4 files open memory-mapped (MapAuto): O(ms)
-// independent of table size, with per-level validation deferred to first
-// touch; use OpenMode to pin a path.
-func Open(g *Graph, tablePath string) (*Engine, error) {
-	return OpenMode(g, tablePath, MapAuto)
-}
+// exactly once. Tables open memory-mapped (MapAuto): O(ms) independent of
+// table size, with per-level validation deferred to first touch; use
+// OpenMode to pin a path.
+func Open(g *Graph, tablePath string) (*Engine, error) { return core.Open(g, tablePath) }
 
 // OpenMode is Open with the table open path pinned: MapOff heap-loads
 // with eager whole-file validation, MapRequire memory-maps or fails,
-// MapAuto maps when the file and platform allow it. Estimates are
-// bit-identical across modes.
+// MapAuto maps when the platform allows it. Estimates are bit-identical
+// across modes.
 func OpenMode(g *Graph, tablePath string, mode MapMode) (*Engine, error) {
-	eng, err := core.OpenMode(g, tablePath, mode)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{eng: eng}, nil
+	return core.OpenMode(g, tablePath, mode)
 }
 
 // Query parameterizes one Engine.Count call. The zero value is completed
 // with the same defaults as Options: 100k samples, naive strategy, seed 1.
-type Query struct {
-	// Strategy selects Naive or AGS.
-	Strategy Strategy
-	// Samples is the sampling budget. Default 100000.
-	Samples int
-	// CoverThreshold is AGS's covering threshold c̄. Default 1000.
-	CoverThreshold int
-	// Seed makes the query reproducible. Default 1. A Query sent through a
-	// Registry is answered from the seeded-result cache only when Seed is
-	// set explicitly (non-zero); Seed 0 means "default seed, don't cache".
-	Seed int64
-	// SampleWorkers parallelizes this query across urn clones (≤ 1 =
-	// sequential).
-	SampleWorkers int
-	// Epsilon and Delta switch the query into run-to-precision mode:
-	// sampling continues until the estimates (or TargetMotif's alone) are
-	// certified within relative error Epsilon at confidence 1-Delta.
-	// Requires the AGS strategy; mutually exclusive with Samples. The
-	// certificate comes back in Result.Achieved.
-	Epsilon float64
-	Delta   float64
-	// TargetMotif, when non-zero, is the single canonical code the
-	// certificate must cover; zero certifies every tallied motif.
-	TargetMotif Code
-	// MaxSamples caps a run-to-precision query's draws (0 = the engine's
-	// default cap).
-	MaxSamples int
-}
-
-// precisionMode reports whether any run-to-precision field is set.
-func (q Query) precisionMode() bool {
-	return q.Epsilon != 0 || q.Delta != 0 || q.TargetMotif != (Code{}) || q.MaxSamples != 0
-}
-
-// withDefaults completes the zero fields exactly as Engine.Count serves
-// them, so Validate judges the query the engine would actually run. A
-// precision-mode query keeps Samples at zero — the budget is adaptive.
-func (q Query) withDefaults() Query {
-	if q.Samples == 0 && !q.precisionMode() {
-		q.Samples = 100000
-	}
-	if q.Seed == 0 {
-		q.Seed = 1
-	}
-	return q
-}
-
-// coreQuery maps the query onto the engine-layer query — the single
-// translation used by Engine.Count, Registry.Count and Validate, so the
-// public API cannot drift from what the engine serves.
-func (q Query) coreQuery() core.Query {
-	return core.Query{
-		Strategy:       q.Strategy,
-		Samples:        q.Samples,
-		CoverThreshold: q.CoverThreshold,
-		Seed:           q.Seed,
-		SampleWorkers:  q.SampleWorkers,
-		Epsilon:        q.Epsilon,
-		Delta:          q.Delta,
-		TargetMotif:    q.TargetMotif,
-		MaxSamples:     q.MaxSamples,
-	}
-}
-
-// Validate reports whether the query (after defaulting, so the zero value
-// is valid) can be served: known strategy, positive budget, bounded worker
-// count, positive cover threshold. It is the one validation path shared by
-// the CLI, the HTTP layer and the engine itself.
-func (q Query) Validate() error { return q.withDefaults().coreQuery().Validate() }
-
-// Count serves one query from the engine's table. It honors ctx — a
-// canceled request (an HTTP client disconnect, a deadline) stops the
-// sampling loop promptly — and may be called concurrently from any number
-// of goroutines.
-func (e *Engine) Count(ctx context.Context, q Query) (*Result, error) {
-	qres, err := e.eng.Count(ctx, q.withDefaults().coreQuery())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		K:          e.eng.K(),
-		Counts:     qres.Counts,
-		Samples:    qres.Samples,
-		SampleTime: qres.SampleTime,
-		TableBytes: e.eng.TableBytes(),
-		Covered:    qres.Covered,
-		Achieved:   qres.Achieved,
-	}, nil
-}
+// See core.Query for every field.
+type Query = core.Query
 
 // NodeSignature is one node's graphlet degree vector (GDV): per-motif
 // counts of the sampled occurrences touching the node, aligned with
@@ -521,20 +246,6 @@ type NodeSignature = core.NodeSignature
 // K × tally for every motif.
 type SignaturesResult = core.SignaturesResult
 
-// Signatures serves one per-node graphlet signature query from the
-// engine's table: it samples exactly like Count (same strategies, budgets
-// and precision mode) but streams every draw's vertex incidence into
-// per-node motif-count vectors. nodes, when non-empty, restricts the
-// vectors to those vertices; empty returns every node touched by at least
-// one sample.
-//
-// Unlike Count — whose draw sequence follows SampleWorkers — a signatures
-// query decomposes into a fixed number of deterministic streams, so for a
-// fixed Seed the vectors are bit-identical at any SampleWorkers count.
-func (e *Engine) Signatures(ctx context.Context, q Query, nodes []int32) (*SignaturesResult, error) {
-	return e.eng.Signatures(ctx, q.withDefaults().coreQuery(), nodes)
-}
-
 // Signatures is the one-shot form of Engine.Signatures, mirroring Count:
 // build (or open) the table for opts, then serve one signatures query.
 // Requires a single coloring (incidence tallies are per-coloring).
@@ -544,45 +255,13 @@ func Signatures(g *Graph, opts Options, nodes []int32) (*SignaturesResult, error
 
 // SignaturesContext is Signatures honoring a context.
 func SignaturesContext(ctx context.Context, g *Graph, opts Options, nodes []int32) (*SignaturesResult, error) {
-	if opts.K == 0 {
-		opts.K = 4
-	}
-	if opts.Colorings == 0 {
-		opts.Colorings = 1
-	}
-	if opts.Samples == 0 && !opts.precisionMode() {
-		opts.Samples = 100000
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return core.SignaturesContext(ctx, g, coreConfig(opts), nodes)
+	return core.SignaturesContext(ctx, g, opts, nodes)
 }
 
 // EngineStats describes an engine in one struct: graphlet size, host graph
 // shape, resident table payload, and the one-time open cost the engine
 // amortizes over its queries.
 type EngineStats = core.EngineStats
-
-// Stats reports the engine's shape and cost in a single struct, replacing
-// the ad-hoc K/OpenTime/TableBytes accessor trio.
-func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
-
-// K returns the graphlet size the engine's table was built for.
-//
-// Deprecated: use Stats().K.
-func (e *Engine) K() int { return e.eng.K() }
-
-// OpenTime reports how long Open spent loading the table and building the
-// master urn — the cost the engine amortizes over all of its queries.
-//
-// Deprecated: use Stats().OpenTime.
-func (e *Engine) OpenTime() time.Duration { return e.eng.OpenTime() }
-
-// TableBytes is the packed in-memory count-table payload the engine holds.
-//
-// Deprecated: use Stats().TableBytes.
-func (e *Engine) TableBytes() int64 { return e.eng.TableBytes() }
 
 // RegistryConfig bounds a Registry.
 type RegistryConfig struct {
@@ -595,7 +274,7 @@ type RegistryConfig struct {
 	// the cache.
 	CacheSize int
 	// MapTable selects how registered tables are opened. With the MapAuto
-	// default, MvT4 tables are memory-mapped: their bytes are page-cache
+	// default, tables are memory-mapped: their bytes are page-cache
 	// residency (reported separately in Stats().MappedBytes), charge
 	// almost nothing against MemBudget, and evicting/reopening them is
 	// O(ms) — many more graphs fit one host.
@@ -641,46 +320,23 @@ func (r *Registry) Open(name string, g *Graph, tablePath string) error {
 // evicted under the memory budget. Concurrent Gets of an evicted name
 // share one open.
 func (r *Registry) Get(ctx context.Context, name string) (*Engine, error) {
-	eng, err := r.reg.Get(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{eng: eng}, nil
+	return r.reg.Get(ctx, name)
 }
 
 // Count resolves the named engine and serves one query through the
 // seeded-result cache: a query with an explicit (non-zero) Seed that the
 // registry has answered before returns the cached Result without sampling
-// (cached reports which). Queries with Seed 0 bypass the cache.
+// (cached reports which). Queries with Seed 0 bypass the cache. A cached
+// Result is shared between callers; treat it as read-only.
 func (r *Registry) Count(ctx context.Context, name string, q Query) (res *Result, cached bool, err error) {
-	seeded := q.Seed != 0
-	q = q.withDefaults()
-	qres, hit, err := r.reg.Count(ctx, name, q.coreQuery(), seeded)
-	if err != nil {
-		return nil, false, err
-	}
-	// Render from registry metadata: a cache hit must not pull an evicted
-	// engine back into memory.
-	k, tableBytes, err := r.reg.Meta(name)
-	if err != nil {
-		return nil, false, err
-	}
-	return &Result{
-		K:          k,
-		Counts:     qres.Counts,
-		Samples:    qres.Samples,
-		SampleTime: qres.SampleTime,
-		TableBytes: tableBytes,
-		Covered:    qres.Covered,
-		Achieved:   qres.Achieved,
-	}, hit, nil
+	return r.reg.Count(ctx, name, q, q.Seed != 0)
 }
 
 // Signatures resolves the named engine and serves one per-node signatures
 // query. Results are never cached: bodies are per-node and large, and the
 // fixed stream decomposition already makes seeded runs reproducible.
 func (r *Registry) Signatures(ctx context.Context, name string, q Query, nodes []int32) (*SignaturesResult, error) {
-	return r.reg.Signatures(ctx, name, q.withDefaults().coreQuery(), nodes)
+	return r.reg.Signatures(ctx, name, q, nodes)
 }
 
 // Evict drops the named engine's resident state (the registration stays,
@@ -696,9 +352,9 @@ func (r *Registry) Stats() RegistryStats { return r.reg.Stats() }
 
 // ServeConfig parameterizes NewServer.
 type ServeConfig struct {
-	// DefaultGraph is the registered name the legacy single-graph
-	// endpoints (/count, /stats) alias onto. Empty means the first
-	// registered name in List order.
+	// DefaultGraph is the registered name a POST /v1/batch without a
+	// graph runs against. Empty means the first registered name in List
+	// order.
 	DefaultGraph string
 	// MaxInflight caps concurrent sampling requests; beyond it the server
 	// answers 429 with a Retry-After header. 0 means unlimited.
@@ -706,9 +362,9 @@ type ServeConfig struct {
 }
 
 // NewServer wraps a registry into the versioned HTTP API served by
-// `motivo serve`: POST /v1/graphs/{name}/count, POST /v1/batch,
-// GET /v1/graphs, GET /metrics (Prometheus text format), plus the legacy
-// /count, /stats and /healthz endpoints aliased onto the default graph.
+// `motivo serve`: POST /v1/graphs/{name}/count,
+// POST /v1/graphs/{name}/signatures, POST /v1/batch, GET /v1/graphs,
+// GET /metrics (Prometheus text format) and GET /healthz.
 func NewServer(r *Registry, cfg ServeConfig) http.Handler {
 	return serve.New(serve.Config{
 		Registry:     r.reg,
