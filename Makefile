@@ -17,7 +17,7 @@ BENCH_GATED      ?= ^(BenchmarkEngine|BenchmarkTableOpen)
 BENCH_GATED_TIME ?= 400ms
 BENCH_TOLERANCE  ?= 60
 
-.PHONY: all build test bench bench-json bench-baseline bench-compare fuzz cover staticcheck govulncheck fmt fmt-check vet quickstart serve-smoke ci
+.PHONY: all build test bench bench-json bench-baseline bench-compare fuzz cover staticcheck govulncheck fmt fmt-check vet quickstart serve-smoke loc ci
 
 all: build
 
@@ -150,5 +150,10 @@ serve-smoke:
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_signature_queries_total 1$$'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_precision_queries_total 1$$'; \
 	curl -fsS http://127.0.0.1:18080/metrics | grep -q '^motivo_precision_met_total'
+
+# Production Go lines: every tracked non-test .go file outside the
+# benchmark harness. ROADMAP item 2 tracks this number.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^e2ebench/' | xargs cat | wc -l
 
 ci: fmt-check vet build test fuzz bench quickstart serve-smoke cover

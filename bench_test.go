@@ -123,6 +123,7 @@ func BenchmarkFig3BuildMotivoSpill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := build.DefaultOptions()
+		opts.MemBudget = 1 << 30
 		opts.SpillDir = dir
 		if _, _, err := build.Run(context.Background(), g, col, 5, cat, opts); err != nil {
 			b.Fatal(err)
@@ -620,11 +621,11 @@ func BenchmarkReadEdgeList(b *testing.B) {
 }
 
 // BenchmarkBuildSharded tracks the bounded-memory build against the
-// unbounded in-RAM pass on the k=6 acceptance workload: the budget arm
-// shards each level through work-stealing and spill files, the unbounded
-// arm keeps whole levels in memory. The tables are bit-identical (pinned
-// by TestBudgetBuildBitIdentical); what this family watches is the time
-// cost of the bounded path's streaming and external merge.
+// unbounded one on the k=6 acceptance workload: both run the same sharded
+// level pass, the budget arm streaming shards through spill files, the
+// unbounded arm buffering them in memory. The tables are bit-identical
+// (pinned by TestBuildGolden); what this family watches is the time cost
+// of the spill files.
 func BenchmarkBuildSharded(b *testing.B) {
 	g := storageGraph()
 	k := 6
@@ -643,11 +644,7 @@ func BenchmarkBuildSharded(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := build.DefaultOptions()
 				opts.MemBudget = bm.budget
-				if bm.budget > 0 {
-					// SpillDir alone implies the legacy greedy-spill mode;
-					// only the budget arm should touch the disk.
-					opts.SpillDir = dir
-				}
+				opts.SpillDir = dir
 				_, stats, err := build.Run(context.Background(), g, col, k, cat, opts)
 				if err != nil {
 					b.Fatal(err)

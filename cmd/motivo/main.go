@@ -38,6 +38,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -52,6 +53,7 @@ import (
 	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/mmapx"
 	"repro/internal/registry"
 	"repro/internal/serve"
 	"repro/internal/table"
@@ -136,20 +138,15 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
+	// Replace atomically: a server may have the old file mapped.
+	err = mmapx.WriteFile(*out, func(f io.Writer) error {
+		w := bufio.NewWriterSize(f, 1<<20)
+		if err := g.WriteBinary(w); err != nil {
+			return err
+		}
+		return w.Flush()
+	})
 	if err != nil {
-		return err
-	}
-	w := bufio.NewWriterSize(f, 1<<20)
-	if err := g.WriteBinary(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	st, err := os.Stat(*out)
@@ -207,7 +204,6 @@ func cmdBuild(args []string) error {
 	k := fs.Int("k", 5, "treelet size")
 	seed := fs.Int64("seed", 1, "coloring seed")
 	lambda := fs.Float64("lambda", 0, "biased-coloring λ (0 = uniform)")
-	spill := fs.Bool("spill", false, "greedy flushing through temp files")
 	memBudget := fs.Int64("mem-budget", 0, "bounded-memory build: target transient bytes; levels shard, spill and externally merge (0 = unbounded)")
 	smartStars := fs.Bool("smart-stars", true, "synthesize star-family records from colored degrees instead of storing them")
 	out := fs.String("o", "", "persist the count table (arena + index + coloring) to this file")
@@ -241,7 +237,6 @@ func cmdBuild(args []string) error {
 	}
 	cat := treelet.NewCatalog(*k)
 	opts := build.DefaultOptions()
-	opts.Spill = *spill
 	opts.MemBudget = *memBudget
 	opts.SmartStars = *smartStars
 	tab, stats, err := build.Run(context.Background(), g, col, *k, cat, opts)
@@ -287,7 +282,6 @@ func cmdCount(args []string) error {
 	cover := fs.Int("cover-threshold", 1000, "AGS covering threshold c̄")
 	sampleWorkers := fs.Int("sample-workers", 0, "sampling-phase goroutines (0/1 = sequential)")
 	lambda := fs.Float64("lambda", 0, "biased-coloring λ (0 = uniform)")
-	spill := fs.Bool("spill", false, "greedy flushing through temp files")
 	smartStars := fs.Bool("smart-stars", true, "synthesize star-family records from colored degrees instead of storing them")
 	tablePath := fs.String("table", "", "open a persisted count table (`motivo build -o`) instead of building")
 	mapMode := fs.String("map", "auto", "how -table is opened: auto (mmap, heap fallback), off (heap), require (mmap or fail)")
@@ -344,9 +338,6 @@ func cmdCount(args []string) error {
 		if *lambda > 0 {
 			return fmt.Errorf("count: -lambda has no effect with -table (the saved coloring is used)")
 		}
-		if *spill {
-			return fmt.Errorf("count: -spill is a build-phase option; it has no effect with -table")
-		}
 		if !*smartStars {
 			return fmt.Errorf("count: -smart-stars is a build-phase option; whether a persisted table is smart was decided by `motivo build`")
 		}
@@ -359,7 +350,7 @@ func cmdCount(args []string) error {
 		K: *k, Samples: *samples, Colorings: *colorings,
 		Strategy: strat, CoverThreshold: *cover,
 		SampleWorkers: *sampleWorkers,
-		Lambda:        *lambda, Spill: *spill, Seed: *seed,
+		Lambda:        *lambda, Seed: *seed,
 		MaterializeStars: !*smartStars,
 		TablePath:        *tablePath,
 		MapTable:         mmode,

@@ -94,7 +94,6 @@ func TestCommandErrorMessages(t *testing.T) {
 		{"count/huge-workers", cmdCount, []string{"-i", graphPath, "-sample-workers", "5000"}, "sample workers must be in [0, 1024]"},
 		{"count/table-vs-colorings", cmdCount, []string{"-i", graphPath, "-table", tblPath, "-colorings", "3"}, "-colorings 3 is incompatible"},
 		{"count/table-vs-lambda", cmdCount, []string{"-i", graphPath, "-table", tblPath, "-lambda", "1.5"}, "-lambda has no effect with -table"},
-		{"count/table-vs-spill", cmdCount, []string{"-i", graphPath, "-table", tblPath, "-spill"}, "-spill is a build-phase option"},
 		{"count/table-vs-materialize", cmdCount, []string{"-i", graphPath, "-table", tblPath, "-smart-stars=false"}, "-smart-stars is a build-phase option"},
 		{"count/bad-flag-value", cmdCount, []string{"-i", graphPath, "-samples", "lots"}, "invalid value"},
 		{"count/bad-map-mode", cmdCount, []string{"-i", graphPath, "-table", tblPath, "-map", "sometimes"}, `unknown map mode "sometimes"`},

@@ -30,10 +30,10 @@ func main() {
 
 	const k = 6
 	buildOpts := motivo.Options{
-		K:      k,
-		Lambda: 0.08, // biased coloring: shrinks the table (Section 3.4)
-		Spill:  true, // greedy flushing through temp files (Section 3.1)
-		Seed:   17,
+		K:         k,
+		Lambda:    0.08,    // biased coloring: shrinks the table (Section 3.4)
+		MemBudget: 1 << 30, // greedy flushing through temp files (Section 3.1)
+		Seed:      17,
 	}
 
 	// Build once: the expensive color-coding phase runs a single time and

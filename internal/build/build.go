@@ -20,10 +20,11 @@
 //
 // Performance machinery implemented here, matching the paper:
 //
-//   - a vertex-sharded worker pool: nodes of a level are processed
-//     concurrently by Options.Workers goroutines (0 = GOMAXPROCS); each
-//     node's record only reads completed lower levels, so the result is
-//     bit-identical regardless of scheduling;
+//   - a vertex-sharded worker pool: each level pass cuts the nodes into
+//     contiguous shards on a shared work queue drained by Options.Workers
+//     goroutines (0 = GOMAXPROCS); each node's record only reads completed
+//     lower levels, so the result is bit-identical regardless of
+//     scheduling (shard.go);
 //   - 0-rooting (Section 3.2): with Options.ZeroRooted the size-k level is
 //     computed only at color-0 nodes, counting each colorful k-treelet copy
 //     exactly once (it has exactly one color-0 node) and cutting both time
@@ -33,24 +34,23 @@
 //     pre-aggregated into a single sorted record, turning the
 //     deg(v)·|r_u|·|r_v| pair scan into deg(v)·|r_u| + |agg|·|r_v| —
 //     the same counts, a fraction of the work on hubs;
-//   - greedy flushing (Section 3.1): with Options.Spill each completed
-//     record is serialized to a temp file through table.DiskStore and its
-//     memory released; when the level pass finishes the spill is re-read
-//     sequentially to serve as input for the next pass. Note the scope of
-//     the current implementation: the reload stands in for the paper's
-//     memory-mapped reads, so it bounds the working set only *during* a
-//     pass — completed lower levels stay resident (they are randomly
-//     accessed by every later pass and by the sampler). Larger-than-RAM
-//     tables are a serving-side feature: persist with `motivo build -o`
-//     and reopen through table.OpenMapped, which serves every level
-//     zero-copy off the page cache (see internal/table/mmap.go).
+//   - greedy flushing (Section 3.1): every completed record is encoded
+//     once and flushed to its shard's sink — an in-memory buffer, or with
+//     Options.MemBudget a table.DiskStore spill file, so the pass holds
+//     one record at a time rather than the level — and the shards are
+//     merged into the level arena in node order (merge.go). Note the
+//     scope: completed lower levels stay resident (they are randomly
+//     accessed by every later pass and by the sampler), so the budget
+//     bounds what a pass adds on top of them. Larger-than-RAM tables are
+//     a serving-side feature: persist with `motivo build -o` and reopen
+//     through table.OpenMapped, which serves every level zero-copy off
+//     the page cache (see internal/table/mmap.go).
 package build
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coloring"
@@ -71,14 +71,8 @@ type Options struct {
 	// ZeroRooted enables 0-rooting (Section 3.2): size-k records are
 	// computed only at color-0 nodes, each unrooted copy counted once.
 	ZeroRooted bool
-	// Spill enables greedy flushing of completed records through temp
-	// files (Section 3.1): the level being built streams to disk instead
-	// of accumulating in memory, and is reloaded once the pass finishes
-	// (see the package comment for what this does and does not bound).
-	// SpillDir != "" also enables it.
-	Spill bool
-	// SpillDir is the directory for spill files (the default temp dir
-	// when empty). Setting it implies Spill.
+	// SpillDir is the directory for the spill files of a MemBudget build
+	// (the default temp dir when empty).
 	SpillDir string
 	// BufferThreshold is the degree at which neighbor buffering starts
 	// (0 keeps the paper's default of 10^4).
@@ -91,28 +85,24 @@ type Options struct {
 	// sequences are bit-identical to a materialized build at equal seed.
 	SmartStars bool
 	// MemBudget, when > 0, bounds the build's transient memory (bytes):
-	// each level pass shards the vertex range into work units pulled from
-	// a shared queue by the worker pool (work-stealing, so a shard full of
-	// hubs cannot serialize the others behind a static split), every
-	// completed record streams straight to its shard's packed spill file,
-	// and the shards are externally merged into the level arena through a
-	// bounded buffer — so the pass never holds an uncompacted level copy
-	// in RAM, and per-worker decoded-record memos are capped at roughly
-	// MemBudget/(8·workers). Completed lower levels stay resident (every
-	// later pass random-accesses them); the budget bounds what the pass
-	// itself adds on top. The resulting table is byte-identical to an
-	// unbounded in-RAM build of the same coloring at any worker count.
+	// every completed record streams straight to its shard's packed spill
+	// file instead of an in-memory buffer, and the shards are merged into
+	// the level arena with no other whole-level copy — so the pass never
+	// holds its output twice in RAM, and per-worker decoded-record memos
+	// are capped at roughly MemBudget/(8·workers). Completed lower levels
+	// stay resident (every later pass random-accesses them); the budget
+	// bounds what the pass itself adds on top. The table is byte-identical
+	// to an unbounded build of the same coloring at any worker count.
+	// Negative values are rejected.
 	MemBudget int64
 }
 
 // DefaultOptions returns the paper's defaults: GOMAXPROCS workers,
-// 0-rooting on, smart stars on, no spilling, buffering above degree 10^4.
+// 0-rooting on, smart stars on, no memory budget, buffering above degree
+// 10^4.
 func DefaultOptions() Options {
 	return Options{ZeroRooted: true, BufferThreshold: DefaultBufferThreshold, SmartStars: true}
 }
-
-// spillEnabled reports whether greedy flushing is active.
-func (o Options) spillEnabled() bool { return o.Spill || o.SpillDir != "" }
 
 // bufferThreshold returns the effective neighbor-buffering threshold.
 func (o Options) bufferThreshold() int {
@@ -147,8 +137,8 @@ type Stats struct {
 	Pairs int64
 	// TableBytes is the in-memory payload of the final table.
 	TableBytes int64
-	// SpillBytes is the total size of the spill files written (0 when
-	// spilling is off).
+	// SpillBytes is the total size of the spill files written (0 without
+	// a MemBudget: unbounded builds keep their shards in memory).
 	SpillBytes int64
 	// BufferedNodes counts node/level passes that took the
 	// neighbor-buffered path.
@@ -173,6 +163,9 @@ func Run(ctx context.Context, g *graph.Graph, col *coloring.Coloring, k int, cat
 	}
 	if cat == nil || cat.K < k {
 		return nil, nil, fmt.Errorf("build: catalog k=%d < build k=%d", catK(cat), k)
+	}
+	if opts.MemBudget < 0 {
+		return nil, nil, fmt.Errorf("build: memory budget must be ≥ 0 (0 = unbounded), got %d", opts.MemBudget)
 	}
 
 	start := time.Now()
@@ -258,103 +251,6 @@ func (b *builder) levelOne() error {
 	return nil
 }
 
-// level runs the size-h pass: the worker pool shards nodes, each worker
-// accumulates records from completed lower levels, encodes them into
-// packed form, and hands the bytes to a sink — the in-memory level arena,
-// or (with spilling) a temp file whose contents become the arena after the
-// pass. Either way Table.SetLevel compacts the level into node order, so
-// the resulting table is byte-identical regardless of scheduling and sink.
-func (b *builder) level(ctx context.Context, h int) error {
-	if b.opts.MemBudget > 0 {
-		// The bounded-memory path: sharded work queue, per-shard spill
-		// files, external merge (shard.go / merge.go).
-		return b.levelSharded(ctx, h)
-	}
-	lvl := time.Now()
-	n := b.g.NumNodes()
-	var (
-		spill *spillSink
-		mem   *table.LevelWriter
-	)
-	if b.opts.spillEnabled() {
-		s, err := newSpillSink(b.opts.SpillDir, n)
-		if err != nil {
-			return err
-		}
-		spill = s
-		defer spill.close()
-	} else {
-		mem = table.NewLevelWriter(n)
-	}
-
-	var (
-		ops      int64
-		buffered int64
-		firstErr atomic.Pointer[error]
-	)
-	fail := func(err error) { firstErr.CompareAndSwap(nil, &err) }
-	parallelFor(n, b.opts.workers(), func(lo, hi int) {
-		w := newWorker(b, h)
-		for v := lo; v < hi; v++ {
-			if firstErr.Load() != nil {
-				return
-			}
-			// A canceled context must stop a long level pass mid-flight,
-			// not only at the next level barrier; checking every 256 nodes
-			// keeps the mutex in ctx.Err off the per-node path.
-			if (v-lo)&0xFF == 0 {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-			}
-			node := int32(v)
-			if b.topLevelSkip(h, node) {
-				continue
-			}
-			rec := w.vertexRecord(node)
-			if rec.Len() == 0 {
-				continue
-			}
-			// Encode outside any lock; both sinks copy, so the buffer is
-			// reusable immediately.
-			w.enc = table.AppendRecord(w.enc[:0], rec)
-			if spill != nil {
-				if err := spill.flush(node, w.enc); err != nil {
-					fail(err)
-					return
-				}
-				continue // memory released: the record lives on disk now
-			}
-			mem.Add(node, w.enc)
-		}
-		atomic.AddInt64(&ops, w.ops)
-		atomic.AddInt64(&buffered, w.buffered)
-	})
-	if perr := firstErr.Load(); perr != nil {
-		return *perr
-	}
-	b.stats.CheckMergeOps += ops
-	b.stats.BufferedNodes += buffered
-
-	if spill != nil {
-		// The sequential second pass: reload the level to serve as input
-		// for the next one.
-		arena, starts, err := spill.loadAll()
-		if err != nil {
-			return err
-		}
-		if err := b.tab.SetLevel(h, arena, starts); err != nil {
-			return err
-		}
-		b.stats.SpillBytes += spill.size()
-	} else if err := mem.Install(b.tab, h); err != nil {
-		return err
-	}
-	b.stats.LevelTime[h] = time.Since(lvl)
-	return nil
-}
-
 // maxMemoRecords caps the per-worker decoded-record memo: a level pass
 // consults each lower-level record once per consumer (deg(v) times across
 // the shard), and decoding — or, with smart stars, synthesizing — it anew
@@ -363,11 +259,19 @@ func (b *builder) level(ctx context.Context, h int) error {
 // simply dropped and refills (correctness never depends on it).
 const maxMemoRecords = 1 << 15
 
+// memoStride is how many consecutive vertices of a shard share one memo:
+// every memoStride vertices the worker drops its decoded-record memo and
+// smart-star cache (and checks the context). Neighborhoods of nearby
+// vertices overlap, so the memo pays off within a stride; letting it
+// live across a whole shard instead multiplies the build's peak memory
+// (each worker accumulates decoded hub neighborhoods) for little reuse.
+const memoStride = 256
+
 // worker is the per-goroutine state of the level pass: the accumulation
 // map, the decoded-record memo (lower levels are packed or synthesized;
 // each record consulted is materialized into slice form at most once per
-// pass), and local stat counters (merged once at the end, so the hot loop
-// is contention-free).
+// memo stride), and local stat counters (merged once at the end, so the
+// hot loop is contention-free).
 type worker struct {
 	b   *builder
 	h   int
@@ -405,6 +309,16 @@ func newWorker(b *builder, h int) *worker {
 		w.memoLimit = max(budget/int64(8*b.opts.workers()), 256<<10)
 	}
 	return w
+}
+
+// dropMemo releases the decoded-record memo and the smart-star cache; both
+// refill on demand.
+func (w *worker) dropMemo() {
+	clear(w.recMemo)
+	w.memoBytes = 0
+	if w.cache != nil {
+		w.cache = table.NewSynthCache()
+	}
 }
 
 // pairs returns the decoded record of node v at size h, memoized per

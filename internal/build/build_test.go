@@ -248,9 +248,8 @@ func TestZeroRootingCountsEachCopyOnce(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: Workers:4 and Workers:1 must produce
-// byte-identical tables (the per-vertex recurrence is deterministic and
-// FromMap sorts, so scheduling cannot leak into the result).
+// TestParallelMatchesSequential: the vertex-sharded pass must produce a
+// byte-identical table at any worker count.
 func TestParallelMatchesSequential(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 3, 11)
 	k := 5
@@ -274,8 +273,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSpillRoundTrip: the spill path must reproduce the in-memory table
-// exactly, and report the spill volume.
+// TestSpillRoundTrip: a spilled build (MemBudget with a SpillDir) must
+// reproduce the in-memory table exactly, and report the spill volume.
 func TestSpillRoundTrip(t *testing.T) {
 	g := gen.ErdosRenyi(120, 500, 17)
 	k := 4
@@ -287,7 +286,7 @@ func TestSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := build.DefaultOptions()
-	opts.Spill = true
+	opts.MemBudget = 1 << 20
 	opts.SpillDir = t.TempDir()
 	opts.Workers = 4
 	spilled, stats, err := build.Run(context.Background(), g, col, k, cat, opts)
@@ -302,8 +301,8 @@ func TestSpillRoundTrip(t *testing.T) {
 	}
 }
 
-// tableBytes serializes a table for byte-identity comparisons: SetLevel
-// compacts every level into node order, so equal tables serialize equal.
+// tableBytes serializes a table for byte-identity comparisons: every
+// level is installed in node order, so equal tables serialize equal.
 // The coloring travels along because smart tables require it to save.
 func tableBytes(t *testing.T, tab *table.Table, col *coloring.Coloring) []byte {
 	t.Helper()
@@ -414,6 +413,12 @@ func TestRunValidation(t *testing.T) {
 			_, _, err := build.Run(context.Background(), g, col, 3, nil, build.DefaultOptions())
 			return err
 		}},
+		{"negative memory budget", func() error {
+			opts := build.DefaultOptions()
+			opts.MemBudget = -1
+			_, _, err := build.Run(context.Background(), g, col, 3, cat, opts)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		if tc.run() == nil {
@@ -423,13 +428,15 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestSpillErrorPath: an unusable spill directory must surface as an error,
-// not a panic or a silent in-memory fallback.
+// not a panic or a silent in-memory fallback. Spill files are created on a
+// shard's first record, so the graph must have colorful size-4 trees.
 func TestSpillErrorPath(t *testing.T) {
-	g := gen.Path(6)
+	g := gen.ErdosRenyi(60, 240, 41)
 	k := 4 // the first stored (spillable) level of a smart build is size 4
 	col := coloring.Uniform(g.NumNodes(), k, 41)
 	cat := treelet.NewCatalog(k)
 	opts := build.DefaultOptions()
+	opts.MemBudget = 1 << 20
 	opts.SpillDir = "/nonexistent-dir-for-motivo-tests"
 	if _, _, err := build.Run(context.Background(), g, col, k, cat, opts); err == nil {
 		t.Fatal("expected error for unusable spill dir")

@@ -1,20 +1,17 @@
 package build
 
-// The external merge of the bounded-memory build: shard spill files
-// concatenate into the final level arena. Correctness rests on two
-// orderings that hold by construction — shards partition [0, n) in
-// ascending contiguous ranges, and within a shard the owning worker
-// flushed records in ascending vertex order — so appending the files in
-// shard order yields records in global node order, compact, with no gaps.
-// That is exactly the layout Table.SetLevel's compaction produces from an
-// arbitrarily-ordered arena, so the bounded and unbounded builds install
-// byte-identical levels (SetLevelOrdered re-checks the contiguity rather
-// than trusting it).
+// The shard merge: shard sinks concatenate into the final level arena.
+// Correctness rests on two orderings that hold by construction — shards
+// partition [0, n) in ascending contiguous ranges, and within a shard the
+// owning worker flushed records in ascending vertex order — so appending
+// the sinks in shard order yields records in global node order, compact,
+// with no gaps: the one layout Table.SetLevel accepts (it re-checks the
+// contiguity rather than trusting it).
 
-// mergeShards streams every shard spill into one exact-size level arena
-// and installs it. Transient memory is the arena itself (which the table
-// keeps — there is no second copy) plus the spill reader's bounded
-// buffer; each spill file is deleted as soon as it has been consumed.
+// mergeShards copies every shard sink into one exact-size level arena and
+// installs it. Transient memory is the arena itself (which the table keeps)
+// plus the sinks not yet consumed; each sink is closed — its buffer
+// released, its spill file deleted — as soon as it has been copied.
 func (b *builder) mergeShards(h int, shards []shard) error {
 	var total int64
 	for i := range shards {
@@ -48,6 +45,8 @@ func (b *builder) mergeShards(h int, shards []shard) error {
 		}
 		s.sink = nil
 	}
-	b.stats.SpillBytes += total
-	return b.tab.SetLevelOrdered(h, arena, starts)
+	if b.opts.MemBudget > 0 {
+		b.stats.SpillBytes += total
+	}
+	return b.tab.SetLevel(h, arena, starts)
 }

@@ -9,16 +9,16 @@ import (
 	"repro/internal/table"
 )
 
-// This file implements the bounded-memory level pass (Options.MemBudget):
-// the vertex range is cut into contiguous shards that form a shared work
-// queue, the worker pool pulls shards off the queue (work-stealing — a
-// worker stuck on a shard of hubs never strands the rest of the range,
-// unlike a static 1/workers split), and every completed record streams
-// straight into the claimed shard's packed spill file. Because exactly one
-// worker owns a shard at a time and walks its vertices in ascending order,
-// each spill file is already compact and node-ordered — which is what lets
-// merge.go concatenate them into the level arena with a bounded buffer
-// instead of re-sorting (see mergeShards for the equivalence argument).
+// This file implements the level pass: the vertex range is cut into
+// contiguous shards that form a shared work queue, the worker pool pulls
+// shards off the queue (work-stealing — a worker stuck on a shard of hubs
+// never strands the rest of the range, unlike a static 1/workers split),
+// and every completed record streams straight into the claimed shard's
+// sink: an in-memory buffer, or under Options.MemBudget a packed spill
+// file. Because exactly one worker owns a shard at a time and walks its
+// vertices in ascending order, each sink is already compact and
+// node-ordered — which is what lets merge.go concatenate them into the
+// level arena instead of re-sorting.
 
 // shardsPerWorker is the queue's over-subscription factor: enough shards
 // per worker that stealing can balance skewed degree distributions, few
@@ -33,13 +33,48 @@ const (
 	maxShards = 512
 )
 
-// shard is one work unit of a bounded-memory level pass: a contiguous
-// vertex range and the spill sink its records stream to. The sink is
-// created on first flush, so shards whose range produces no records cost
-// no file.
+// sink receives the encoded records of one shard, flushed in ascending
+// vertex order and indexed by shard-relative vertex (table.DiskStore is
+// the spill-file sink of budgeted builds).
+type sink interface {
+	Flush(i int32, rec []byte) error
+	Offset(i int32) int64
+	Size() int64
+	CopyInto(dst []byte) error
+	Close() error
+}
+
+// memSink is the in-memory sink of an unbounded build.
+type memSink struct {
+	buf     []byte
+	offsets []int64
+}
+
+func newMemSink(n int) *memSink {
+	m := &memSink{offsets: make([]int64, n)}
+	for i := range m.offsets {
+		m.offsets[i] = -1
+	}
+	return m
+}
+
+func (m *memSink) Flush(i int32, rec []byte) error {
+	m.offsets[i] = int64(len(m.buf))
+	m.buf = append(m.buf, rec...)
+	return nil
+}
+
+func (m *memSink) Offset(i int32) int64      { return m.offsets[i] }
+func (m *memSink) Size() int64               { return int64(len(m.buf)) }
+func (m *memSink) CopyInto(dst []byte) error { copy(dst, m.buf); return nil }
+func (m *memSink) Close() error              { m.buf = nil; return nil }
+
+// shard is one work unit of a level pass: a contiguous vertex range and
+// the sink its records stream to. The sink is created on first flush, so
+// shards whose range produces no records cost nothing.
 type shard struct {
 	lo, hi int32
-	sink   *table.DiskStore
+	sink   sink
 }
 
 // makeShards cuts [0, n) into the work queue's contiguous vertex ranges.
@@ -69,14 +104,13 @@ func makeShards(n, workers int) []shard {
 	return shards
 }
 
-// levelSharded runs the size-h pass under the memory budget: workers pull
-// shards from the shared queue, stream records to per-shard spill files,
-// and the shards are externally merged into the level arena. The result
-// is byte-identical to the unbounded level() pass — records are the same
-// bytes (the per-vertex recurrence is deterministic) and the merge
-// produces the same node-ordered compact arena SetLevel's compaction
-// would.
-func (b *builder) levelSharded(ctx context.Context, h int) error {
+// level runs the size-h pass: workers pull shards from the shared queue,
+// stream records to per-shard sinks, and the shards are merged into the
+// level arena. Records are the same bytes whatever the schedule (the
+// per-vertex recurrence is deterministic) and the merge lays them out in
+// node order, so the table is byte-identical at any worker count and
+// budget.
+func (b *builder) level(ctx context.Context, h int) error {
 	lvl := time.Now()
 	n := b.g.NumNodes()
 	shards := makeShards(n, b.opts.workers())
@@ -137,17 +171,18 @@ func (b *builder) levelSharded(ctx context.Context, h int) error {
 }
 
 // runShard computes the records of one claimed shard in ascending vertex
-// order, streaming each encoded record to the shard's spill file — the
-// in-RAM footprint of a shard is one record at a time, whatever the
-// shard's total output size.
+// order, streaming each encoded record to the shard's sink — with a spill
+// file, the in-RAM footprint of a shard is one record at a time, whatever
+// the shard's total output size.
 func (b *builder) runShard(ctx context.Context, w *worker, s *shard) error {
 	for v := s.lo; v < s.hi; v++ {
-		// Same cadence as the unbounded pass: a canceled context stops a
-		// long shard mid-flight, without putting ctx.Err on every vertex.
-		if (v-s.lo)&0xFF == 0 {
+		// Once per memo stride: stop a canceled build mid-shard (without
+		// putting ctx.Err on every vertex) and drop the memo.
+		if (v-s.lo)%memoStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			w.dropMemo()
 		}
 		if b.topLevelSkip(w.h, v) {
 			continue
@@ -158,14 +193,15 @@ func (b *builder) runShard(ctx context.Context, w *worker, s *shard) error {
 		}
 		w.enc = table.AppendRecord(w.enc[:0], rec)
 		if s.sink == nil {
-			// Small write buffers: every open shard holds a live sink until
-			// the merge consumes it, so at the default shard count 1 MiB
-			// buffers alone would rival a small budget.
-			sink, err := table.NewDiskStoreBuffered(b.opts.SpillDir, int(s.hi-s.lo), 64<<10)
-			if err != nil {
-				return err
+			if b.opts.MemBudget == 0 {
+				s.sink = newMemSink(int(s.hi - s.lo))
+			} else {
+				sink, err := table.NewDiskStore(b.opts.SpillDir, int(s.hi-s.lo))
+				if err != nil {
+					return err
+				}
+				s.sink = sink
 			}
-			s.sink = sink
 		}
 		if err := s.sink.Flush(v-s.lo, w.enc); err != nil {
 			return err

@@ -152,15 +152,12 @@ type Config struct {
 	// see package ags). Runs are deterministic for a fixed Seed and
 	// SampleWorkers value.
 	SampleWorkers int
-	// Spill enables greedy flushing of the count table to temp files.
-	Spill bool
 	// MemBudget, when > 0, runs the build-up phase in bounded-memory mode:
-	// each level is computed in vertex-range shards pulled from a shared
-	// work-stealing queue, records stream to per-shard spill files as they
-	// complete, and the level is externally merged into its final arena.
-	// The resulting table is bit-identical to an unbounded build at any
-	// worker count. See build.Options.MemBudget for the exact semantics of
-	// the bound.
+	// records stream to per-shard spill files as they complete, and each
+	// level is merged from them into its final arena. The table is
+	// bit-identical to an unbounded build at any worker count. Negative
+	// values are rejected. See build.Options.MemBudget for the exact
+	// semantics of the bound.
 	MemBudget int64
 	// MaterializeStars disables smart-star synthesis (on by default):
 	// star-family records are computed by the DP and stored instead of
@@ -273,7 +270,6 @@ func (cfg Config) build(ctx context.Context, g *graph.Graph, run int, cat *treel
 	}
 	opts := build.DefaultOptions()
 	opts.Workers = cfg.Workers
-	opts.Spill = cfg.Spill
 	opts.MemBudget = cfg.MemBudget
 	opts.SmartStars = !cfg.MaterializeStars
 	tab, stats, err := build.Run(ctx, g, col, cfg.K, cat, opts)

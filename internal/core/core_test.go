@@ -18,6 +18,7 @@ func TestValidation(t *testing.T) {
 		{K: 3, Colorings: -1, Samples: 10},
 		{K: 3, Colorings: 1, Samples: -1},
 		{K: 3, Colorings: 1, Samples: 10, Lambda: 0.9},
+		{K: 3, Colorings: 1, Samples: 10, MemBudget: -1},
 	}
 	for i, cfg := range cases {
 		if _, err := Count(g, cfg); err == nil {
@@ -233,14 +234,28 @@ func TestParallelAGSThroughCore(t *testing.T) {
 	}
 }
 
+// TestSpillPath: a budgeted build spills every level through temp files,
+// and the estimates must equal an in-memory run at the same seed.
 func TestSpillPath(t *testing.T) {
 	g := gen.ErdosRenyi(80, 240, 23)
-	res, err := Count(g, Config{K: 4, Colorings: 1, Samples: 2000, Spill: true, Seed: 29})
+	cfg := Config{K: 4, Colorings: 1, Samples: 2000, Seed: 29}
+	mem, err := Count(g, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MemBudget = 1 << 20
+	res, err := Count(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Counts) == 0 {
 		t.Fatal("spill run produced nothing")
+	}
+	if res.BuildStats[0].SpillBytes == 0 {
+		t.Error("budgeted run spilled nothing")
+	}
+	if !reflect.DeepEqual(res.Counts, mem.Counts) {
+		t.Error("spilled and in-memory runs disagree at the same seed")
 	}
 }
 

@@ -106,7 +106,7 @@ func Fig3BuildMemory(w io.Writer) {
 		}
 		opts := build.DefaultOptions()
 		opts.ZeroRooted = false
-		opts.Spill = true
+		opts.MemBudget = 1 << 30 // spill each level through temp files (Section 3.1)
 		_, moStats, err := build.Run(context.Background(), g, col, r.k, cat, opts)
 		if err != nil {
 			panic(err)

@@ -3,6 +3,9 @@
 // (table.OpenMapped) and the host-graph loader (graph.OpenMapped). Callers
 // own the returned byte slice's lifetime and must Unmap it exactly once;
 // both users wrap that in an explicit Close plus a finalizer fallback.
+// WriteFile is the writer-side counterpart: every table and MvG1 graph
+// file is replaced atomically, so rewriting a file never truncates it
+// under a live mapping.
 package mmapx
 
 import "errors"

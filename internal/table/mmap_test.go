@@ -198,3 +198,49 @@ func TestMappedLazyVerification(t *testing.T) {
 		t.Errorf("intact level unusable after sibling corruption: %d entries", got)
 	}
 }
+
+// TestSaveFileReplacesMappedTable: rebuilding a table in place while a
+// reader has it mapped must not disturb the reader (the old mapping
+// verifies and serves its old records), a fresh open must see the new
+// table, and a failed save must leave the current file intact with no
+// stray temp file.
+func TestSaveFileReplacesMappedTable(t *testing.T) {
+	dir := t.TempDir()
+	path := dir + "/live.tbl"
+	col := coloring.Uniform(4, 3, 42)
+	oldTab := testTable(t)
+	if _, err := SaveFile(path, oldTab, col); err != nil {
+		t.Fatal(err)
+	}
+	old, _ := mappedOrSkip(t, path)
+
+	newTab := testTable(t)
+	var p Pairs
+	p.FromMap(map[treelet.Colored]u128.Uint128{
+		treelet.MakeColored(treelet.Leaf, 0b010): u128.From64(5),
+	})
+	newTab.SetRec(1, 3, &p)
+	if _, err := SaveFile(path, newTab, col); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Verify(); err != nil {
+		t.Fatalf("old mapping no longer verifies after the rewrite: %v", err)
+	}
+	equalTables(t, oldTab, old)
+	fresh, _ := mappedOrSkip(t, path)
+	equalTables(t, newTab, fresh)
+
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveFile(path, newTab, coloring.Uniform(3, 3, 1)); err == nil {
+		t.Fatal("saving with a mismatched coloring must fail")
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("failed save changed the existing file (err %v)", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("failed save left files behind: %v (err %v)", entries, err)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"os"
 
 	"repro/internal/coloring"
+	"repro/internal/mmapx"
 	"repro/internal/treelet"
 )
 
@@ -481,17 +482,14 @@ func ReadTable(r io.Reader) (*Table, error) {
 }
 
 // SaveFile writes the table (and optional coloring) to path in format
-// version 4, replacing any existing file. It returns the file size in
-// bytes.
-func SaveFile(path string, t *Table, col *coloring.Coloring) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	n, err := Save(f, t, col)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+// version 4, atomically replacing any existing file: a server that has
+// the old file mapped keeps serving it, and a failed write leaves it
+// untouched. It returns the file size in bytes.
+func SaveFile(path string, t *Table, col *coloring.Coloring) (n int64, err error) {
+	err = mmapx.WriteFile(path, func(w io.Writer) error {
+		n, err = Save(w, t, col)
+		return err
+	})
 	return n, err
 }
 

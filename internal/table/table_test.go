@@ -159,26 +159,19 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if err := ds.Flush(3, AppendRecord(nil, &p3)); err != nil {
 		t.Fatal(err)
 	}
-	got0, err := ds.Load(0)
-	if err != nil {
+	if ds.Offset(0) != 0 || ds.Offset(1) != -1 || ds.Offset(3) != int64(len(enc0)) {
+		t.Fatalf("offsets %d %d %d", ds.Offset(0), ds.Offset(1), ds.Offset(3))
+	}
+	arena := make([]byte, ds.Size())
+	if err := ds.CopyInto(arena); err != nil {
 		t.Fatal(err)
 	}
-	if got0.Len() != p0.Len() || got0.Total() != u128.From64(15) {
-		t.Fatal("record 0 round trip failed")
+	if err := ds.CopyInto(arena[1:]); err == nil {
+		t.Error("CopyInto a wrongly sized buffer must fail")
 	}
-	got1, err := ds.Load(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got1.Len() != 0 {
-		t.Fatal("unflushed record should load empty")
-	}
-	arena, starts, err := ds.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(starts) != 5 || starts[0] != 0 || starts[2] != -1 || starts[3] != int64(len(enc0)) {
-		t.Fatalf("LoadAll starts mismatch: %v", starts)
+	starts := make([]int64, 5)
+	for v := range starts {
+		starts[v] = ds.Offset(int32(v))
 	}
 	tab := New(5, 1, false)
 	if err := tab.SetLevel(1, arena, starts); err != nil {
@@ -188,8 +181,11 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if _, cnt := tab.Rec(1, 3).Packed().At(0); cnt != (u128.Uint128{Hi: 2, Lo: 3}) {
 		t.Fatalf("hi bits lost: %v", cnt)
 	}
-	if tab.Rec(1, 0).Len() != p0.Len() {
+	if got := tab.Rec(1, 0); got.Len() != p0.Len() || got.Total() != u128.From64(15) {
 		t.Fatal("record 0 lost through SetLevel")
+	}
+	if tab.Rec(1, 1).Len() != 0 {
+		t.Fatal("unflushed record should read empty")
 	}
 	if ds.Size() == 0 {
 		t.Error("spill size should be positive")
@@ -218,5 +214,36 @@ func TestTableAccounting(t *testing.T) {
 	}
 	if rec.Bytes() >= 24 {
 		t.Errorf("packed single-pair record takes %d bytes, dense layout was 24", rec.Bytes())
+	}
+}
+
+// TestSetLevelRejectsUnorderedArena: SetLevel installs arenas as given, so
+// it must refuse any layout other than compact node order.
+func TestSetLevelRejectsUnorderedArena(t *testing.T) {
+	var p0, p1 Pairs
+	p0.FromMap(sampleMap())
+	p1.FromMap(map[treelet.Colored]u128.Uint128{treelet.MakeColored(treelet.Leaf, 0b1): u128.One})
+	enc0, enc1 := AppendRecord(nil, &p0), AppendRecord(nil, &p1)
+	swapped := append(append([]byte(nil), enc1...), enc0...)
+	for name, tc := range map[string]struct {
+		arena  []byte
+		starts []int64
+	}{
+		"out of node order": {swapped, []int64{int64(len(enc1)), 0}},
+		"gap":               {append(append([]byte{0}, enc0...), enc1...), []int64{1, int64(1 + len(enc0))}},
+		"trailing bytes":    {append(append(append([]byte(nil), enc0...), enc1...), 0), []int64{0, int64(len(enc0))}},
+		"short index":       {enc0, []int64{0}},
+	} {
+		if err := New(2, 1, false).SetLevel(1, tc.arena, tc.starts); err == nil {
+			t.Errorf("%s: SetLevel accepted the arena", name)
+		}
+	}
+	ordered := append(append([]byte(nil), enc0...), enc1...)
+	tab := New(2, 1, false)
+	if err := tab.SetLevel(1, ordered, []int64{0, int64(len(enc0))}); err != nil {
+		t.Fatal(err)
+	}
+	if tab.Rec(1, 1).Len() != 1 || tab.Rec(1, 0).Len() != p0.Len() {
+		t.Fatal("ordered arena installed wrong records")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -165,14 +166,23 @@ func TestBiasedColoringOption(t *testing.T) {
 	}
 }
 
+// TestSpillOption: a MemBudget build spills through temp files and must
+// estimate exactly what an in-memory Count does at the same seed.
 func TestSpillOption(t *testing.T) {
 	g := ErdosRenyi(50, 150, 31)
-	res, err := Count(g, Options{K: 4, Samples: 2000, Spill: true, Seed: 37})
+	mem, err := Count(g, Options{K: 4, Samples: 2000, Seed: 37})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Count(g, Options{K: 4, Samples: 2000, MemBudget: 1 << 20, Seed: 37})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Counts) == 0 {
 		t.Error("spill run produced no estimates")
+	}
+	if !reflect.DeepEqual(res.Counts, mem.Counts) {
+		t.Error("spilled and in-memory runs disagree at the same seed")
 	}
 }
 
